@@ -7,9 +7,10 @@ loop variable, a filter after maps guards on the composed body expression.  A
 flat-map contributes the inner loop; its lambdas' Capture(0) references are
 rebound to the (composed) outer element during inlining.
 
-exec_fused() interprets the plan as nested loops over resolved datasets.  It
-touches no cursors, no consumers and no call sites: zero control dispatches,
-zero lambda applies, zero instantiations.  Plan text rendering is stable and
+compile_plan() lowers the plan to the source of one Python function holding
+the loop nest over resolved datasets, and exec_fused() runs it.  It touches
+no cursors, no consumers and no call sites: zero control dispatches, zero
+lambda applies, zero instantiations.  Plan text rendering is stable and
 documented here because golden tests pin it:
 
     loop0: for x0 in <source>[0:len) if <guard> && <guard>
@@ -35,18 +36,21 @@ from .exprs import (
     Const,
     Param,
     ScalarExpr,
-    I64_MAX,
-    I64_MIN,
     format_expr,
     max_capture_slot,
     max_param_index,
-    wrap_i64,
 )
-from .lambdas import compile_binary, compile_unary
-from .query import Filter, FlatMap, Map, QueryExpr, RefsDataset, Terminal, resolve_dataset
-
-_MASK = (1 << 64) - 1
-_BIAS = 1 << 63
+from .lambdas import Emitter
+from .query import (
+    Filter,
+    FlatMap,
+    Map,
+    QueryExpr,
+    RefsDataset,
+    Terminal,
+    dataset_values,
+    resolve_dataset,
+)
 
 
 def substitute(expr: ScalarExpr, replacement: ScalarExpr,
@@ -193,148 +197,63 @@ def render_plan(plan: FusedPlan) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Plan interpretation
+# Plan compilation
 # ---------------------------------------------------------------------------
 
 _IDENTITY = Param(0)
 _get_value = attrgetter("value")
 
 
-def _values(ds, lo: int, hi: int):
-    if isinstance(ds, RefsDataset):
-        return map(_get_value, ds.data[lo:hi])
-    return ds.data[lo:hi]
+def compile_plan(plan: FusedPlan, datasets):
+    """Lower the loop nest to one generated function run(lo, hi).
 
-
-def _inner_sum_loop(body: ScalarExpr):
-    """A whole-inner-loop accumulator for the hot fused nested shapes.
-
-    Returns f(outer_value, inner_values) -> partial sum, or None when the
-    body is not one of the recognized shapes.
+    run(lo, hi) folds the outer source's [lo, hi) and returns the partial
+    result: loops, guards, the forced outer element and the accumulator are
+    all inline.  A guard-free identity plan keeps the builtin sum.
     """
-    if type(body) is Arith and body.op == "mul":
-        l, r = body.left, body.right
-        if type(l) is Param and type(r) is Param and {l.index, r.index} == {0, 1}:
-            def run(v0, vals):
-                acc = 0
-                for v1 in vals:
-                    t = v1 * v0
-                    if t < I64_MIN or t > I64_MAX:
-                        t = ((t + _BIAS) & _MASK) - _BIAS
-                    acc += t
-                return acc
-            return run
-    if body == Param(1):
-        def run(v0, vals):
-            acc = 0
-            for v1 in vals:
-                acc += v1
-            return acc
-        return run
-    return None
+    outer_ds = resolve_dataset(datasets, plan.outer.source)
+    is_sum = plan.terminal is Terminal.SUM
+    em = Emitter(("x0",))
+    rows = f"{em.bind(outer_ds.data)}[lo:hi]"
+    if isinstance(outer_ds, RefsDataset):
+        rows = f"map({em.bind(_get_value)}, {rows})"
+    if plan.inner is None and not plan.outer.guards and plan.body == _IDENTITY:
+        em.line(f"return wrap_i64(sum({rows}))" if is_sum else "return hi - lo")
+        return em.build("run", ("lo", "hi"))()
+    em.line("acc = 0")
+    em.line(f"for x0 in {rows}:")
+    em.depth += 1
+    for guard in plan.outer.guards:
+        em.line(f"if not {em.value(guard)}: continue")
+    if plan.inner is not None:
+        # maps folded into the outer element still fail per element, even
+        # when the inner loop never evaluates them
+        if _may_raise(plan.outer_element):
+            em.value(plan.outer_element)
+        inner = dataset_values(resolve_dataset(datasets, plan.inner.source))
+        em.line(f"for x1 in {em.bind(inner)}:")
+        em.params = ("x0", "x1")
+        em.depth += 1
+        for guard in plan.inner.guards:
+            em.line(f"if not {em.value(guard)}: continue")
+    body = em.value(plan.body)
+    em.line(f"acc += {body}" if is_sum else "acc += 1")
+    em.depth = 2
+    em.line("return wrap_i64(acc)" if is_sum else "return acc")
+    return em.build("run", ("lo", "hi"))()
 
 
 def exec_fused(plan: FusedPlan, datasets, counters: CounterSet | None = None,
                lo: int = 0, hi: int | None = None) -> int:
-    """Interpret the loop nest over [lo, hi) of the outer source.
+    """Compile the plan and run it over [lo, hi) of the outer source.
 
     `counters` is accepted for interface symmetry with the other strategies
     and is left untouched: a fused run has nothing to count.
     """
-    outer_ds = resolve_dataset(datasets, plan.outer.source)
+    run = compile_plan(plan, datasets)
     if hi is None:
-        hi = len(outer_ds)
-    is_sum = plan.terminal is Terminal.SUM
-    guards = [compile_unary(g) for g in plan.outer.guards]
-
-    if plan.inner is None:
-        body = plan.body
-        if not guards and body == _IDENTITY:
-            if is_sum:
-                return wrap_i64(sum(_values(outer_ds, lo, hi)))
-            return hi - lo
-        b = compile_unary(body)
-        g1 = guards[0] if len(guards) == 1 else None
-        acc = 0
-        if g1 is not None:
-            if is_sum:
-                for v in _values(outer_ds, lo, hi):
-                    if g1(v):
-                        acc += b(v)
-            else:
-                for v in _values(outer_ds, lo, hi):
-                    if g1(v):
-                        b(v)
-                        acc += 1
-        elif not guards:
-            if is_sum:
-                for v in _values(outer_ds, lo, hi):
-                    acc += b(v)
-            else:
-                for v in _values(outer_ds, lo, hi):
-                    b(v)
-                    acc += 1
-        else:
-            for v in _values(outer_ds, lo, hi):
-                for g in guards:
-                    if not g(v):
-                        break
-                else:
-                    if is_sum:
-                        acc += b(v)
-                    else:
-                        b(v)
-                        acc += 1
-        return wrap_i64(acc) if is_sum else acc
-
-    # two-level nest: the inner dataset is traversed in full per outer element
-    inner_ds = resolve_dataset(datasets, plan.inner.source)
-    inner_vals = list(_values(inner_ds, 0, len(inner_ds)))
-    inner_guards = [compile_binary(g) for g in plan.inner.guards]
-    body2 = compile_binary(plan.body)
-    # maps folded into the outer element still fail per element, even when the
-    # inner loop would never evaluate them
-    force = None
-    if plan.outer_element is not None and _may_raise(plan.outer_element):
-        force = compile_unary(plan.outer_element)
-    acc = 0
-    fast_inner = None
-    if is_sum and not inner_guards:
-        fast_inner = _inner_sum_loop(plan.body)
-    for v0 in _values(outer_ds, lo, hi):
-        ok = True
-        for g in guards:
-            if not g(v0):
-                ok = False
-                break
-        if not ok:
-            continue
-        if force is not None:
-            force(v0)
-        if fast_inner is not None:
-            acc += fast_inner(v0, inner_vals)
-        elif not inner_guards:
-            if is_sum:
-                for v1 in inner_vals:
-                    acc += body2(v0, v1)
-            else:
-                for v1 in inner_vals:
-                    body2(v0, v1)
-                    acc += 1
-        else:
-            for v1 in inner_vals:
-                keep = True
-                for g in inner_guards:
-                    if not g(v0, v1):
-                        keep = False
-                        break
-                if keep:
-                    if is_sum:
-                        acc += body2(v0, v1)
-                    else:
-                        body2(v0, v1)
-                        acc += 1
-    return wrap_i64(acc) if is_sum else acc
+        hi = len(resolve_dataset(datasets, plan.outer.source))
+    return run(lo, hi)
 
 
 def run_fused(query: QueryExpr, datasets, counters: CounterSet | None = None) -> int:

@@ -12,10 +12,9 @@ CallSiteCache accounts for separately:
   invocation    calling the instance evaluates the body (the engines charge
                 this to the owning stage's lambda_applies)
 
-The compiled instances are plain Python callables built by folding the tree
-into nested closures, with the handful of shapes that dominate the benchmark
-suite special-cased.  They must agree with eval_scalar bit for bit; the test
-suite holds them to that.
+Linking generates Python source for the body and compiles it once; each
+instance is a closure over the compiled function.  Instances must agree with
+eval_scalar bit for bit; the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -24,10 +23,11 @@ import itertools
 from dataclasses import dataclass
 
 from .counters import CounterSet
-from .errors import ArityMismatch, DivisionByZero, InvalidExpression
+from .errors import ArityMismatch, InvalidExpression
 from .exprs import (
     Arith,
     Capture,
+    Cmp,
     Const,
     Param,
     ScalarExpr,
@@ -36,10 +36,8 @@ from .exprs import (
     max_capture_slot,
     max_param_index,
     mod_i64,
+    wrap_i64,
 )
-
-_MASK = (1 << 64) - 1
-_BIAS = 1 << 63
 
 _site_ids = itertools.count()
 
@@ -78,180 +76,123 @@ def is_capturing(lam: Lambda) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Closure compilation: expression tree -> Python callable
+# Code generation: expression tree -> Python source -> callable
 # ---------------------------------------------------------------------------
-# Linking a site compiles its body once.  Both compilers return callables over
-# positional parameters; capture values are baked in at capture time so the
-# per-invocation path carries no environment lookups it does not need.
+# Every tree reaches Python through one Emitter.  It writes one statement per
+# Arith node into the body of a generated function and compiles that with
+# compile()/exec().  The source holds only names the emitter makes itself,
+# op symbols from the tables below and indentation: every Const value,
+# capture value and dataset is bound to a name, so no text of a tree value
+# ever reaches exec().
 
-def _wrap_fn(op):
-    if op == "add":
-        def fn(a, b):
-            t = a + b
-            return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-    elif op == "sub":
-        def fn(a, b):
-            t = a - b
-            return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-    elif op == "mul":
-        def fn(a, b):
-            t = a * b
-            return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-    else:
-        fn = mod_i64
-    return fn
+_ARITH_SYMBOL = {"add": "+", "sub": "-", "mul": "*"}
+_CMP_SYMBOL = {"eq": "==", "lt": "<"}
+_HELPERS = {"MIN": I64_MIN, "MAX": I64_MAX, "wrap_i64": wrap_i64,
+            "mod_i64": mod_i64}
 
 
-def _mod_const(k: int):
-    """Truncated remainder by a fixed non-zero divisor."""
-    ak = abs(k)
+class Emitter:
+    """Lowers expression trees to the statements of one generated function.
 
-    def fn(x, _ak=ak):
-        return x % _ak if x >= 0 else -((-x) % _ak)
+    `params` names the variables Param(0), Param(1), ... read and `captures`
+    the ones Capture(0), ... read; both are bound by the caller's source.
+    Lines go into the function body at indent level `depth`, which a caller
+    emitting loops raises.
+    """
 
-    return fn
+    def __init__(self, params: tuple, captures: tuple = ()):
+        self.params = params
+        self.captures = captures
+        self.depth = 2
+        self.names = list(_HELPERS)
+        self.values = list(_HELPERS.values())
+        self.lines: list[str] = []
+        self._temps = itertools.count()
+
+    def bind(self, value) -> str:
+        """A fresh name the generated code reads `value` through."""
+        name = f"k{len(self.names)}"
+        self.names.append(name)
+        self.values.append(value)
+        return name
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def value(self, expr: ScalarExpr) -> str:
+        """Emit the statements that compute `expr`; return the text of its value.
+
+        An Arith node becomes one statement, followed for add/sub/mul by the
+        64-bit wrap check.  A Cmp root becomes an expression.
+        """
+        kind = type(expr)
+        if kind is Param:
+            return _slot(self.params, expr.index, "param")
+        if kind is Capture:
+            return _slot(self.captures, expr.slot, "capture slot")
+        if kind is Const:
+            return self.bind(expr.value)
+        if kind not in (Arith, Cmp):
+            raise InvalidExpression(f"not an expression node: {type(expr).__name__}")
+        left = self.value(expr.left)
+        if kind is Cmp:
+            return f"{left} {_symbol(_CMP_SYMBOL, expr.op)} {self.value(expr.right)}"
+        t = f"t{next(self._temps)}"
+        right = expr.right
+        if expr.op == "mod" and type(right) is Const and right.value != 0:
+            k = self.bind(abs(right.value))
+            self.line(f"{t} = {left} % {k} if {left} >= 0 else -(-{left} % {k})")
+        elif expr.op == "mod":
+            self.line(f"{t} = mod_i64({left}, {self.value(right)})")
+        else:
+            sym = _symbol(_ARITH_SYMBOL, expr.op)
+            self.line(f"{t} = {left} {sym} {self.value(right)}")
+            self.line(f"if not MIN <= {t} <= MAX: {t} = wrap_i64({t})")
+        return t
+
+    def build(self, name: str, params: tuple):
+        """Compile `def <name>(<params>):` over the emitted lines.
+
+        Returns a maker: calling it with the capture values produces a new
+        instance of the function.  Bound names are the generated module's
+        globals, so an instance closes over its captures only.
+        """
+        source = "\n".join((f"def make({', '.join(self.captures)}):",
+                            f"    def {name}({', '.join(params)}):", *self.lines,
+                            f"    return {name}\n"))
+        scope = dict(zip(self.names, self.values))
+        exec(compile(source, f"<streambench {name}>", "exec"), scope)
+        return scope["make"]
 
 
-def _raise_div_zero(*_args):
-    raise DivisionByZero("mod by zero")
+def _slot(names: tuple, index: int, what: str) -> str:
+    if not 0 <= index < len(names):
+        raise InvalidExpression(f"unbound {what} {index}")
+    return names[index]
+
+
+def _symbol(table: dict, op: str) -> str:
+    try:
+        return table[op]
+    except KeyError:
+        raise InvalidExpression(f"unknown op: {op!r}") from None
+
+
+def _compile(expr: ScalarExpr, params: tuple, captures: int):
+    """Maker for f(*params) computing `expr`; the maker takes the captures."""
+    em = Emitter(params, tuple(f"c{i}" for i in range(captures)))
+    em.line(f"return {em.value(expr)}")
+    return em.build("fn", params)
 
 
 def compile_unary(expr: ScalarExpr, captures: tuple = ()):
-    """Compile a one-parameter, capture-resolved tree to a callable f(x)."""
-    kind = type(expr)
-    if kind is Const:
-        v = expr.value
-        return lambda x, _v=v: _v
-    if kind is Param:
-        if expr.index != 0:
-            raise InvalidExpression(f"param {expr.index} in unary compile")
-        return lambda x: x
-    if kind is Capture:
-        if expr.slot >= len(captures):
-            raise InvalidExpression(f"unbound capture slot {expr.slot}")
-        v = captures[expr.slot]
-        return lambda x, _v=v: _v
-    left, right, op = expr.left, expr.right, expr.op
-    lp = type(left) is Param
-    rp = type(right) is Param
-    if kind is Arith:
-        if op == "mul" and lp and rp:
-            def sq(x):
-                t = x * x
-                return t if t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-            return sq
-        if rp and not lp and op in ("add", "mul") and type(left) in (Const, Capture):
-            # commutative ops: move the parameter left so one shape covers both
-            left, right = right, left
-            lp, rp = True, False
-        if lp and type(right) in (Const, Capture):
-            if type(right) is Const:
-                c = right.value
-            else:
-                if right.slot >= len(captures):
-                    raise InvalidExpression(f"unbound capture slot {right.slot}")
-                c = captures[right.slot]
-            if op == "add":
-                def fn(x, _c=c):
-                    t = x + _c
-                    return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-                return fn
-            if op == "sub":
-                def fn(x, _c=c):
-                    t = x - _c
-                    return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-                return fn
-            if op == "mul":
-                def fn(x, _c=c):
-                    t = x * _c
-                    return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-                return fn
-            if c == 0:
-                return _raise_div_zero
-            return _mod_const(c)
-        lf = compile_unary(left, captures)
-        rf = compile_unary(right, captures)
-        o = _wrap_fn(op)
-        return lambda x, _l=lf, _r=rf, _o=o: _o(_l(x), _r(x))
-    # Cmp root
-    lf = compile_unary(left, captures)
-    if type(right) is Const:
-        c = right.value
-        if op == "eq":
-            return lambda x, _l=lf, _c=c: _l(x) == _c
-        return lambda x, _l=lf, _c=c: _l(x) < _c
-    rf = compile_unary(right, captures)
-    if op == "eq":
-        return lambda x, _l=lf, _r=rf: _l(x) == _r(x)
-    return lambda x, _l=lf, _r=rf: _l(x) < _r(x)
+    """Compile a one-parameter tree, captures bound to `captures`, to f(x)."""
+    return _compile(expr, ("x0",), len(captures))(*captures)
 
 
 def compile_binary(expr: ScalarExpr):
     """Compile a capture-free two-parameter tree to a callable f(x0, x1)."""
-    kind = type(expr)
-    if kind is Const:
-        v = expr.value
-        return lambda a, b, _v=v: _v
-    if kind is Param:
-        if expr.index == 0:
-            return lambda a, b: a
-        if expr.index == 1:
-            return lambda a, b: b
-        raise InvalidExpression(f"param {expr.index} in binary compile")
-    if kind is Capture:
-        raise InvalidExpression("capture slot in a fused expression")
-    left, right, op = expr.left, expr.right, expr.op
-    if kind is Arith:
-        if op == "mul" and type(left) is Param and type(right) is Param:
-            if left.index == 1 and right.index == 0:
-                def fn(a, b):
-                    t = b * a
-                    return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-                return fn
-            if left.index == 0 and right.index == 1:
-                def fn(a, b):
-                    t = a * b
-                    return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-                return fn
-        lf = compile_binary(left)
-        rf = compile_binary(right)
-        o = _wrap_fn(op)
-        return lambda a, b, _l=lf, _r=rf, _o=o: _o(_l(a, b), _r(a, b))
-    lf = compile_binary(left)
-    rf = compile_binary(right)
-    if op == "eq":
-        return lambda a, b, _l=lf, _r=rf: _l(a, b) == _r(a, b)
-    return lambda a, b, _l=lf, _r=rf: _l(a, b) < _r(a, b)
-
-
-def _capture_template(expr: ScalarExpr):
-    """Compile once into a maker: maker(captures) -> f(x).
-
-    The tree is analyzed at link time; the per-capture work is only the
-    closure construction for the bound values.
-    """
-    kind = type(expr)
-    if kind is Arith and type(expr.left) is Param and type(expr.right) is Capture:
-        op, slot = expr.op, expr.right.slot
-        if op == "mul":
-            def maker(caps, _slot=slot):
-                c = caps[_slot]
-
-                def fn(x, _c=c):
-                    t = x * _c
-                    return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-                return fn
-            return maker
-        if op == "add":
-            def maker(caps, _slot=slot):
-                c = caps[_slot]
-
-                def fn(x, _c=c):
-                    t = x + _c
-                    return t if I64_MIN <= t <= I64_MAX else ((t + _BIAS) & _MASK) - _BIAS
-                return fn
-            return maker
-    return lambda caps: compile_unary(expr, caps)
+    return _compile(expr, ("x0", "x1"), 0)()
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +233,7 @@ class CallSiteCache:
             raise ArityMismatch(
                 f"lambda captures {lam.captures} values, got {len(captures)}")
         site.counters.instantiations += 1
-        return site.template(captures)
+        return site.template(*captures)
 
     def _link(self, lam: Lambda) -> _Site:
         ctr = self.counters.site(lam.site_id)
@@ -304,7 +245,7 @@ class CallSiteCache:
             site.instance = compile_unary(lam.body)
             ctr.instantiations += 1
         else:
-            site.template = _capture_template(lam.body)
+            site.template = _compile(lam.body, ("x0",), lam.captures)
         self._sites[lam.site_id] = site
         return site
 

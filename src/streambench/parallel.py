@@ -3,11 +3,13 @@
 The outer SplitCursor is split in half recursively until every leaf is at or
 below the split threshold; the leaves land in a shared deque that worker
 threads drain (plain work-sharing, no stealing).  Each worker owns a private
-consumer chain or plan executor and a private CounterSet, so there is no
-shared mutable state until the single join point, where partial accumulators
-combine with a wrapping add and counters merge by addition.  Wrapping addition
-is associative and commutative mod 2**64, which is why the merged result is
-bit-identical to the sequential one no matter how leaves were scheduled.
+consumer chain and a private CounterSet; a fused plan is compiled once per
+run and its generated function, which holds no state, serves every worker.
+There is no shared mutable state until the single join point, where partial
+accumulators combine with a wrapping add and counters merge by addition.
+Wrapping addition is associative and commutative mod 2**64, which is why the
+merged result is bit-identical to the sequential one no matter how leaves
+were scheduled.
 
 Only Sum and Count terminals run here: they are the folds whose partial
 results merge without ordering concerns.  FlatMap splits only the outer
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from .counters import CounterSet
 from .errors import InvalidPipeline
 from .exprs import wrap_i64
-from .fuse import FusedPlan, exec_fused
+from .fuse import FusedPlan, compile_plan
 from .push import (
     DEFAULT_SPLIT_THRESHOLD,
     SplitCursor,
@@ -100,7 +102,7 @@ def _run_leaves_push(query, datasets, tasks, result):
     result.partial = sink.result()
 
 
-def _run_leaves_fused(plan, datasets, tasks, result):
+def _run_leaves_fused(run, datasets, tasks, result):
     acc = 0
     while True:
         try:
@@ -108,7 +110,7 @@ def _run_leaves_fused(plan, datasets, tasks, result):
         except IndexError:
             break
         try:
-            acc += exec_fused(plan, datasets, result.counters, leaf.lo, leaf.hi)
+            acc += run(leaf.lo, leaf.hi)
         except Exception as exc:
             result.error = exc
             result.error_leaf = idx
@@ -138,17 +140,19 @@ def run_parallel(target, datasets, config: ParallelConfig | None = None,
         raise InvalidPipeline(f"terminal {terminal!r} is not parallelizable")
 
     source_ds = resolve_dataset(datasets, source)
+    # one generated function serves every leaf and every worker
+    work = compile_plan(target, datasets) if run_leaves is _run_leaves_fused else target
     leaves = split_tasks(SplitCursor(source_ds), config.split_threshold)
     tasks = deque(enumerate(leaves))
     workers = config.resolved_workers()
 
     results = [_WorkerResult() for _ in range(workers)]
     if workers == 1:
-        run_leaves(target, datasets, tasks, results[0])
+        run_leaves(work, datasets, tasks, results[0])
     else:
         threads = [
             threading.Thread(
-                target=run_leaves, args=(target, datasets, tasks, results[w]),
+                target=run_leaves, args=(work, datasets, tasks, results[w]),
                 name=f"streambench-worker-{w}", daemon=True)
             for w in range(workers)
         ]

@@ -59,26 +59,8 @@ class _IntsSource:
         return v
 
 
-class _RefsSource:
-    __slots__ = ("_data", "_i", "_hi", "_cur", "_ctr")
-
-    def __init__(self, data, ctr):
-        self._data = data
-        self._i = 0
-        self._hi = len(data)
-        self._cur = _NOTHING
-        self._ctr = ctr
-
-    def advance(self):
-        ctr = self._ctr
-        ctr.control_dispatches += 1
-        i = self._i
-        if i < self._hi:
-            self._i = i + 1
-            self._cur = self._data[i]
-            return True
-        self._cur = _NOTHING
-        return False
+class _RefsSource(_IntsSource):
+    __slots__ = ()
 
     def get(self):
         self._ctr.control_dispatches += 1

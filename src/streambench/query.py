@@ -81,7 +81,7 @@ def resolve_dataset(datasets, name: str) -> Dataset:
 
 
 def dataset_values(ds: Dataset) -> list[int]:
-    """Plain value list, indirections resolved.  Oracle/test convenience."""
+    """Plain value list, indirections resolved."""
     if isinstance(ds, RefsDataset):
         return [r.value for r in ds.data]
     return list(ds.data)

@@ -61,6 +61,8 @@ def scale_by_outer_lambda():
 # ---------------------------------------------------------------------------
 # Baselines: hand-written loops
 # ---------------------------------------------------------------------------
+# The 64-bit wrap idiom stays inline here on purpose: a baseline is the loop
+# a programmer would write, with no helper call per element.
 
 
 def _baseline_sum(datasets) -> int:

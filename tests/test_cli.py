@@ -137,7 +137,7 @@ class TestTimingRuns:
         for i, cell in enumerate(md_cells):
             if i not in stable:
                 assert THREE_DECIMALS.match(cell)
-        assert "fused optimize" in err  # plan compile time reported, not timed
+        assert "fused optimize" in err  # optimize time reported, not timed
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "results.csv"

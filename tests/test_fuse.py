@@ -10,6 +10,8 @@ from test_lambdas import arith_trees, i64, run_to_outcome
 from streambench.counters import CounterSet
 from streambench.errors import DivisionByZero, InvalidPipeline
 from streambench.exprs import (
+    I64_MAX,
+    I64_MIN,
     Arith,
     Capture,
     Cmp,
@@ -237,9 +239,15 @@ class TestExecFused:
 
     def test_nested_product_wraps(self):
         fm = FlatMap("inner", (Map(make_lambda(SCALED, captures=1)),))
-        q = build_query("outer", [fm], Terminal.SUM)
+        nested = build_query("outer", [fm], Terminal.SUM)
         ds = {"outer": ints_dataset([1 << 32]), "inner": ints_dataset([1 << 32])}
-        assert exec_fused(optimize(q), ds) == 0
+        assert exec_fused(optimize(nested), ds) == 0
+        # refs outer, guarded: I64_MAX + 1 wraps to I64_MIN, -1 is dropped
+        positive = make_lambda(Cmp("lt", Const(0), Param(0)))
+        inc = make_lambda(Arith("add", Param(0), Const(1)))
+        guarded = build_query("outer", [Filter(positive), Map(inc)], Terminal.SUM)
+        ds = {"outer": refs_dataset([I64_MAX, -1, 5])}
+        assert exec_fused(optimize(guarded), ds) == I64_MIN + 6
 
     def test_count_still_evaluates_body(self):
         mod0 = make_lambda(Arith("mod", Param(0), Const(0)))

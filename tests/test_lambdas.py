@@ -17,6 +17,8 @@ from streambench.exprs import (
     Param,
     eval_scalar,
 )
+from streambench import lambdas
+from streambench.fuse import exec_fused, optimize
 from streambench.lambdas import (
     CallSiteCache,
     Lambda,
@@ -26,6 +28,7 @@ from streambench.lambdas import (
     is_capturing,
     make_lambda,
 )
+from streambench.query import Filter, Map, Terminal, build_query, ints_dataset
 
 i64 = st.integers(min_value=I64_MIN, max_value=I64_MAX)
 # skew toward small constants so mod-by-zero and boundary cases both appear
@@ -172,6 +175,45 @@ class TestCompiledBinary:
     def test_captures_rejected(self):
         with pytest.raises(InvalidExpression):
             compile_binary(Arith("mul", Param(0), Capture(0)))
+
+
+class _CodeInt(int):
+    """An int whose every text form is Python code."""
+
+    CODE = "__import__('os')._exit(86)"
+
+    def __repr__(self):
+        return self.CODE
+
+    def __format__(self, spec):
+        return self.CODE
+
+
+class TestGeneratedSource:
+    def test_values_are_bound_never_printed(self, monkeypatch):
+        sources = []
+        real_compile = compile
+
+        def recording(source, *args):
+            sources.append(source)
+            return real_compile(source, *args)
+
+        monkeypatch.setattr(lambdas, "compile", recording, raising=False)
+        k = _CodeInt(7)
+        unary = Arith("add", Arith("mod", Param(0), Const(k)), Capture(0))
+        binary = Arith("mul", Param(1), Arith("sub", Param(0), Const(k)))
+        guard = Cmp("lt", Const(k), Param(0))
+        for x in (-15, 0, 22):
+            assert compile_unary(unary, (k,))(x) == eval_scalar(unary, (x,), (k,))
+            assert compile_binary(binary)(x, 3) == eval_scalar(binary, (x, 3))
+        square = Arith("mul", Param(0), Param(0))
+        q = build_query("src", [Filter(make_lambda(guard)),
+                                Map(make_lambda(square))], Terminal.SUM)
+        xs = range(-20, 20)
+        want = sum(eval_scalar(square, (x,)) for x in xs if eval_scalar(guard, (x,)))
+        assert exec_fused(optimize(q), {"src": ints_dataset(xs)}) == want
+        assert len(sources) == 7
+        assert not any(_CodeInt.CODE in src for src in sources)
 
 
 class TestCallSites:

@@ -9,6 +9,7 @@ from conftest import random_pipeline
 from streambench.counters import CounterSet
 from streambench.errors import DivisionByZero, InvalidPipeline
 from streambench.exprs import Arith, Capture, Cmp, Const, Param
+from streambench import fuse, parallel
 from streambench.fuse import optimize
 from streambench.lambdas import make_lambda
 from streambench.parallel import ParallelConfig, run_parallel, split_tasks
@@ -116,6 +117,24 @@ class TestEquivalence:
             # fused workers count nothing, so nothing merges in
             assert counters.control_dispatches == 0
             assert counters.lambda_applies == 0
+
+    def test_fused_plan_compiled_once_per_call(self, monkeypatch):
+        calls = []
+        real = fuse.compile_plan
+
+        def counting(plan, datasets):
+            calls.append(plan)
+            return real(plan, datasets)
+
+        monkeypatch.setattr(fuse, "compile_plan", counting)
+        monkeypatch.setattr(parallel, "compile_plan", counting)
+        ds = {"src": ints_dataset(range(1000))}
+        assert len(split_tasks(SplitCursor(ds["src"]), 100)) >= 4
+        plan = optimize(sose_query())
+        cfg = ParallelConfig(workers=2, split_threshold=100)
+        for call in (1, 2):
+            assert run_parallel(plan, ds, cfg) == run_pull(sose_query(), ds)
+            assert len(calls) == call
 
     def test_count_terminal(self):
         q = sose_query(Terminal.COUNT)
