@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .counters import CounterSet
 from .errors import ResultMismatch
-from .fuse import optimize, exec_fused, render_plan
+from .fuse import compile_plan, exec_fused, optimize, render_plan
 from .harness import DEFAULT_SINK, BenchTask, measure
 from .parallel import ParallelConfig, run_parallel
 from .pull import run_pull
@@ -31,6 +31,7 @@ CSV_HEADER = ("benchmark,engine,n,threads,warmup,iters,mean_ms,stddev_ms,ci95_ms
 _FIELDS = CSV_HEADER.split(",")
 
 DEFAULT_N = 10_000_000
+_SHOW_PLAN_N = 8
 
 
 @dataclass
@@ -165,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--check", action="store_true",
                         help="validate results against the brute-force oracle, no timing")
     parser.add_argument("--show-plan", action="store_true",
-                        help="print the fused plan for each selected benchmark and exit")
+                        help="print the fused plan and its generated source for "
+                             "each selected benchmark and exit")
     parser.add_argument("--out", default=None,
                         help="write the table to a file instead of stdout")
     return parser
@@ -208,8 +210,12 @@ def run_cli(argv=None) -> int:
 
     if args.show_plan:
         for bench in benches:
+            plan = optimize(bench.build_query())
             print(f"# plan {bench.name}")
-            print(render_plan(optimize(bench.build_query())))
+            print(render_plan(plan))
+            # the source binds the data by name, so any size shows the same text
+            print(f"# source {bench.name}")
+            print(compile_plan(plan, bench.gen_inputs(_SHOW_PLAN_N)).source, end="")
         return 0
 
     failures = 0

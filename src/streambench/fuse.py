@@ -209,19 +209,31 @@ def compile_plan(plan: FusedPlan, datasets):
 
     run(lo, hi) folds the outer source's [lo, hi) and returns the partial
     result: loops, guards, the forced outer element and the accumulator are
-    all inline.  A guard-free identity plan keeps the builtin sum.
+    all inline, and `run.source` holds the generated text.  A refs source is
+    walked as `for r in rows: x0 = r.value`, over the list itself when
+    [lo, hi) covers all of it, so a sequential run copies no pointers; an ints
+    source is sliced, a memcpy.  Under a count terminal the body is evaluated
+    only when it can raise.  A guard-free identity plan keeps the builtin sum.
     """
     outer_ds = resolve_dataset(datasets, plan.outer.source)
     is_sum = plan.terminal is Terminal.SUM
+    is_refs = isinstance(outer_ds, RefsDataset)
     em = Emitter(("x0",))
-    rows = f"{em.bind(outer_ds.data)}[lo:hi]"
-    if isinstance(outer_ds, RefsDataset):
-        rows = f"map({em.bind(_get_value)}, {rows})"
+    data = em.bind(outer_ds.data)
+    rows = f"{data}[lo:hi]"
     if plan.inner is None and not plan.outer.guards and plan.body == _IDENTITY:
-        em.line(f"return wrap_i64(sum({rows}))" if is_sum else "return hi - lo")
-        return em.build("run", ("lo", "hi"))()
+        if is_refs:
+            rows = f"map({em.bind(_get_value)}, {rows})"
+        # a count is the length of [lo, hi) clipped as a slice clips it
+        em.line(f"return wrap_i64(sum({rows}))" if is_sum
+                else f"return len(range(len({data}))[lo:hi])")
+        return _instance(em)
     em.line("acc = 0")
-    em.line(f"for x0 in {rows}:")
+    if is_refs:
+        em.line(f"for r in ({data} if lo == 0 and hi >= len({data}) else {rows}):")
+        em.line("    x0 = r.value")
+    else:
+        em.line(f"for x0 in {rows}:")
     em.depth += 1
     for guard in plan.outer.guards:
         em.line(f"if not {em.value(guard)}: continue")
@@ -236,11 +248,20 @@ def compile_plan(plan: FusedPlan, datasets):
         em.depth += 1
         for guard in plan.inner.guards:
             em.line(f"if not {em.value(guard)}: continue")
-    body = em.value(plan.body)
+    if is_sum or _may_raise(plan.body):
+        body = em.value(plan.body)
     em.line(f"acc += {body}" if is_sum else "acc += 1")
     em.depth = 2
     em.line("return wrap_i64(acc)" if is_sum else "return acc")
-    return em.build("run", ("lo", "hi"))()
+    return _instance(em)
+
+
+def _instance(em: Emitter):
+    """Build the emitted run(lo, hi) and keep its source on it."""
+    make = em.build("run", ("lo", "hi"))
+    run = make()
+    run.source = make.source
+    return run
 
 
 def exec_fused(plan: FusedPlan, datasets, counters: CounterSet | None = None,

@@ -87,6 +87,7 @@ def is_capturing(lam: Lambda) -> bool:
 
 _ARITH_SYMBOL = {"add": "+", "sub": "-", "mul": "*"}
 _CMP_SYMBOL = {"eq": "==", "lt": "<"}
+_ZERO = Const(0)
 _HELPERS = {"MIN": I64_MIN, "MAX": I64_MAX, "wrap_i64": wrap_i64,
             "mod_i64": mod_i64}
 
@@ -123,7 +124,12 @@ class Emitter:
         """Emit the statements that compute `expr`; return the text of its value.
 
         An Arith node becomes one statement, followed for add/sub/mul by the
-        64-bit wrap check.  A Cmp root becomes an expression.
+        64-bit wrap check.  A mod by a non-zero constant is inlined with the
+        sign of the dividend; any other mod calls mod_i64, so a zero divisor
+        raises DivisionByZero.  A Cmp root becomes an expression.  The zero
+        test `a mod k == 0` (either operand order, k a non-zero constant) is
+        written `a % |k| == 0`: truncated and floored remainders are zero for
+        exactly the same dividends, so it needs no temp and no sign branch.
         """
         kind = type(expr)
         if kind is Param:
@@ -134,12 +140,15 @@ class Emitter:
             return self.bind(expr.value)
         if kind not in (Arith, Cmp):
             raise InvalidExpression(f"not an expression node: {type(expr).__name__}")
-        left = self.value(expr.left)
         if kind is Cmp:
-            return f"{left} {_symbol(_CMP_SYMBOL, expr.op)} {self.value(expr.right)}"
+            if expr.op == "eq" and _ZERO in (expr.left, expr.right):
+                return f"{self._zero_side(expr.left)} == {self._zero_side(expr.right)}"
+            sym = _symbol(_CMP_SYMBOL, expr.op)
+            return f"{self.value(expr.left)} {sym} {self.value(expr.right)}"
+        left = self.value(expr.left)
         t = f"t{next(self._temps)}"
         right = expr.right
-        if expr.op == "mod" and type(right) is Const and right.value != 0:
+        if _mod_by_const(expr):
             k = self.bind(abs(right.value))
             self.line(f"{t} = {left} % {k} if {left} >= 0 else -(-{left} % {k})")
         elif expr.op == "mod":
@@ -150,19 +159,35 @@ class Emitter:
             self.line(f"if not MIN <= {t} <= MAX: {t} = wrap_i64({t})")
         return t
 
+    def _zero_side(self, expr: ScalarExpr) -> str:
+        """One side of a comparison with 0: a mod by a constant k stays the
+        floored `a % |k|`, which is 0 exactly when the truncated remainder is."""
+        if _mod_by_const(expr):
+            return f"{self.value(expr.left)} % {self.bind(abs(expr.right.value))}"
+        return self.value(expr)
+
     def build(self, name: str, params: tuple):
         """Compile `def <name>(<params>):` over the emitted lines.
 
         Returns a maker: calling it with the capture values produces a new
         instance of the function.  Bound names are the generated module's
-        globals, so an instance closes over its captures only.
+        globals, so an instance closes over its captures only.  The maker's
+        `source` attribute holds the generated text.
         """
         source = "\n".join((f"def make({', '.join(self.captures)}):",
                             f"    def {name}({', '.join(params)}):", *self.lines,
                             f"    return {name}\n"))
         scope = dict(zip(self.names, self.values))
         exec(compile(source, f"<streambench {name}>", "exec"), scope)
-        return scope["make"]
+        make = scope["make"]
+        make.source = source
+        return make
+
+
+def _mod_by_const(expr: ScalarExpr) -> bool:
+    """True for a mod node whose divisor is a non-zero constant."""
+    return (type(expr) is Arith and expr.op == "mod"
+            and type(expr.right) is Const and expr.right.value != 0)
 
 
 def _slot(names: tuple, index: int, what: str) -> str:
@@ -236,11 +261,11 @@ class CallSiteCache:
         return site.template(*captures)
 
     def _link(self, lam: Lambda) -> _Site:
+        if lam.arity != 1:
+            raise ArityMismatch(f"stage lambdas are unary, got arity {lam.arity}")
         ctr = self.counters.site(lam.site_id)
         site = _Site(lam, ctr)
         ctr.link_events += 1
-        if lam.arity != 1:
-            raise ArityMismatch(f"stage lambdas are unary, got arity {lam.arity}")
         if lam.captures == 0:
             site.instance = compile_unary(lam.body)
             ctr.instantiations += 1

@@ -83,7 +83,8 @@ def for_each_remaining(cursor: SplitCursor, consumer) -> None:
     lo, hi = cursor.lo, cursor.hi
     cursor.lo = hi
     if cursor.is_refs:
-        for r in data[lo:hi]:
+        # a list slice increfs every record; iterate the list when it is all
+        for r in data if lo == 0 and hi >= len(data) else data[lo:hi]:
             accept(r.value)
     else:
         for v in data[lo:hi]:

@@ -206,6 +206,17 @@ class TestShowPlan:
             assert f"# plan {bench}" in out
 
 
+class TestShowSource:
+    def test_generated_source_follows_each_plan(self, capsys):
+        code = run_cli(["--bench", "refs", "--show-plan"])
+        out = capsys.readouterr().out
+        assert code == 0
+        plan, source = out.split("# source refs\n")
+        assert plan.endswith("acc: count(init=0)\n")
+        assert source.startswith("def make():\n    def run(lo, hi):\n")
+        assert "x0 = r.value" in source
+
+
 class TestBadFlags:
     @pytest.mark.parametrize("argv", [
         ["--engine", "warp"],

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from conftest import engine_outcomes, random_pipeline
 from test_lambdas import arith_trees, i64, run_to_outcome
@@ -23,13 +23,14 @@ from streambench.exprs import (
 )
 from streambench.fuse import (
     _fold_map,
+    compile_plan,
     exec_fused,
     optimize,
     render_plan,
     run_fused,
     substitute,
 )
-from streambench.lambdas import make_lambda
+from streambench.lambdas import compile_unary, make_lambda
 from streambench.push import run_push
 from streambench.query import (
     Filter,
@@ -41,6 +42,7 @@ from streambench.query import (
     ints_dataset,
     refs_dataset,
 )
+from streambench.suite import define_suite, oracle_run
 
 SQUARE = Arith("mul", Param(0), Param(0))
 EVEN = Cmp("eq", Arith("mod", Param(0), Const(2)), Const(0))
@@ -255,6 +257,12 @@ class TestExecFused:
         with pytest.raises(DivisionByZero):
             exec_fused(optimize(q), {"src": ints_dataset([1])})
 
+    def test_count_skips_body_that_cannot_raise(self):
+        q = build_query("src", [Map(make_lambda(SQUARE))], Terminal.COUNT)
+        run = compile_plan(optimize(q), {"src": ints_dataset(range(5))})
+        assert "*" not in run.source
+        assert run(0, 5) == 5
+
     def test_run_fused_wrapper(self):
         q = build_query("src", [Filter(make_lambda(EVEN))], Terminal.COUNT)
         assert run_fused(q, {"src": ints_dataset(range(10))}) == 5
@@ -368,3 +376,55 @@ class TestSemanticPreservation:
             outcomes = engine_outcomes(query, datasets)
             assert outcomes["fused"] == outcomes["pull"]
             assert outcomes["fused"] == outcomes["oracle"]
+
+
+# the zero test `x mod k == 0` is emitted as the sign-free `x % |k| == 0`
+EDGE_I64 = st.one_of(i64, st.integers(-30, 30), st.sampled_from(
+    (I64_MIN, I64_MIN + 1, I64_MAX - 1, I64_MAX)))
+DIVISORS = st.one_of(st.sampled_from((1, -1, 2, -3, 7, I64_MIN, I64_MAX)),
+                     st.integers(I64_MIN, -1), st.integers(1, I64_MAX))
+
+
+def zero_test(dividend, k, zero_first):
+    rem = Arith("mod", dividend, Const(k))
+    return Cmp("eq", Const(0), rem) if zero_first else Cmp("eq", rem, Const(0))
+
+
+class TestZeroTest:
+    @given(EDGE_I64, DIVISORS, st.booleans(), st.booleans())
+    def test_compiled_matches_reference(self, x, k, squared, zero_first):
+        dividend = SQUARE if squared else Param(0)
+        tree = zero_test(dividend, k, zero_first)
+        assert compile_unary(tree)(x) == eval_scalar(tree, (x,))
+
+    @given(st.lists(EDGE_I64, max_size=12), DIVISORS, st.booleans(),
+           st.integers(0, 2), st.sampled_from(Terminal),
+           st.sampled_from((ints_dataset, refs_dataset)))
+    @example(list(range(-6, 6)), -3, True, 1, Terminal.COUNT, refs_dataset)
+    def test_fused_matches_oracle_on_slices(self, values, k, zero_first,
+                                            n_stages, terminal, make):
+        stages = (Filter(make_lambda(zero_test(Param(0), k, zero_first))),
+                  Map(make_lambda(SQUARE)))[:n_stages]
+        q = build_query("src", stages, terminal)
+        plan = optimize(q)
+        n = len(values)
+        for lo, hi in ((0, n), (0, n + 5), (0, 3), (2, 5), (5, 5)):
+            want = oracle_run(q, {"src": make(values[lo:hi])})
+            assert exec_fused(plan, {"src": make(values)}, lo=lo, hi=hi) == want
+
+    @pytest.mark.parametrize("name", ["refs", "sumOfSquaresEven"])
+    def test_suite_filters_compile_to_plain_loops(self, name):
+        bench = next(b for b in define_suite() if b.name == name)
+        run = compile_plan(optimize(bench.build_query()), bench.gen_inputs(8))
+        assert ">= 0 else" not in run.source
+        assert "map(" not in run.source
+
+    @pytest.mark.parametrize("zero_first", [False, True])
+    def test_mod_by_zero_still_raises(self, zero_first):
+        pred = zero_test(Param(0), 0, zero_first)
+        with pytest.raises(DivisionByZero):
+            compile_unary(pred)(3)
+        for make in (ints_dataset, refs_dataset):
+            q = build_query("src", [Filter(make_lambda(pred))], Terminal.COUNT)
+            outcomes = engine_outcomes(q, {"src": make(range(20))})
+            assert set(outcomes.values()) == {("err", DivisionByZero)}

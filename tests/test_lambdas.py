@@ -255,6 +255,14 @@ class TestCallSites:
         with pytest.raises(ArityMismatch):
             cache.bind(lam, (1, 2))
 
+    def test_failed_link_is_not_counted(self):
+        cache = CallSiteCache()
+        lam = make_lambda(Arith("add", Param(0), Param(1)), arity=2)
+        for _ in range(3):
+            with pytest.raises(ArityMismatch):
+                cache.bind(lam)
+        assert cache.stats(lam.site_id) == (0, 0)
+
     def test_counters_flow_into_counter_set(self):
         counters = CounterSet()
         cache = CallSiteCache(counters)
