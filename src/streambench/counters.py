@@ -5,20 +5,79 @@ A CounterSet records what a run actually did: per-stage control dispatches
 per-call-site closure linkage and instantiation events.  Counters only ever
 increase during a run, and two CounterSets merge by plain addition so that
 parallel workers can accumulate privately and combine at the join point.
+
+A stage's counts come from two places.  Its stored ints are written as events
+happen: pull adds to them on every call, and assignments land there.  A stage
+may also follow live flows, any object with an int `n` that an engine keeps
+counting: push counts only where the element flow starts or changes (the
+chain's head, each filter's passes, a flat-map's inner source) and lets every
+map, filter and flat-map slot follow the flow that enters it.  Reading
+`control_dispatches` or `lambda_applies` adds the stored and the live parts,
+so `repr`, `merge` and pickling see the totals.
+
+After a run raises mid-way the counts may exceed what entered a stage (push
+counts an element range or an inner source before it moves it); the engines
+discard a failed run's result and counters.
 """
 
 from __future__ import annotations
 
 
-class StageCounters:
-    """Dispatch and apply counts for one pipeline stage."""
+class Flow:
+    """A live element count, kept in `n` by whatever owns it."""
 
-    __slots__ = ("label", "control_dispatches", "lambda_applies")
+    __slots__ = ("n",)
+
+    def __init__(self, n: int = 0):
+        self.n = n
+
+
+NO_FLOW = Flow()  # never counted into
+
+
+class StageCounters:
+    """Dispatch and apply counts for one pipeline stage.
+
+    `stored_dispatches` and `stored_applies` are plain slots that engines may
+    add to on their hot path; the public totals add the live flows the stage
+    follows.
+    """
+
+    __slots__ = ("label", "stored_dispatches", "stored_applies",
+                 "_live_dispatches", "_live_applies")
 
     def __init__(self, label: str, control_dispatches: int = 0, lambda_applies: int = 0):
         self.label = label
-        self.control_dispatches = control_dispatches
-        self.lambda_applies = lambda_applies
+        self.stored_dispatches = control_dispatches
+        self.stored_applies = lambda_applies
+        self._live_dispatches = self._live_applies = NO_FLOW
+
+    @property
+    def control_dispatches(self) -> int:
+        return self.stored_dispatches + self._live_dispatches.n
+
+    @control_dispatches.setter
+    def control_dispatches(self, value: int) -> None:
+        self.stored_dispatches = value - self._live_dispatches.n
+
+    @property
+    def lambda_applies(self) -> int:
+        return self.stored_applies + self._live_applies.n
+
+    @lambda_applies.setter
+    def lambda_applies(self, value: int) -> None:
+        self.stored_applies = value - self._live_applies.n
+
+    def follow(self, dispatches: Flow = NO_FLOW, applies: Flow = NO_FLOW) -> None:
+        """Count live flows from now on, keeping what has been counted so far.
+
+        The flows followed before are read once and stored, so a CounterSet
+        reused across runs adds them up; it follows the chain built last.
+        """
+        self.stored_dispatches = self.control_dispatches
+        self.stored_applies = self.lambda_applies
+        self._live_dispatches = dispatches
+        self._live_applies = applies
 
     def __repr__(self) -> str:
         return (f"StageCounters({self.label!r}, dispatches={self.control_dispatches}, "
@@ -28,7 +87,8 @@ class StageCounters:
         return (self.label, self.control_dispatches, self.lambda_applies)
 
     def __setstate__(self, state):
-        self.label, self.control_dispatches, self.lambda_applies = state
+        self.label, self.stored_dispatches, self.stored_applies = state
+        self._live_dispatches = self._live_applies = NO_FLOW
 
 
 class SiteCounters:
@@ -111,8 +171,8 @@ class CounterSet:
         if other.stages and self.labels != other.labels:
             raise ValueError("cannot merge counters with different stage layouts")
         for mine, theirs in zip(self.stages, other.stages):
-            mine.control_dispatches += theirs.control_dispatches
-            mine.lambda_applies += theirs.lambda_applies
+            mine.stored_dispatches += theirs.control_dispatches
+            mine.stored_applies += theirs.lambda_applies
         for site_id, theirs in other.sites.items():
             mine = self.site(site_id)
             mine.link_events += theirs.link_events

@@ -44,7 +44,7 @@ from .query import QueryExpr, Terminal, resolve_dataset
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """workers=None means one per logical core."""
+    """workers=None means one per core this process may run on."""
 
     workers: int | None = None
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD
@@ -56,7 +56,11 @@ class ParallelConfig:
             raise ValueError(f"split threshold must be >= 1, got {self.split_threshold}")
 
     def resolved_workers(self) -> int:
-        return self.workers if self.workers is not None else (os.cpu_count() or 1)
+        if self.workers is not None:
+            return self.workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 def split_tasks(cursor: SplitCursor, threshold: int = DEFAULT_SPLIT_THRESHOLD):

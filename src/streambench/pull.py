@@ -42,7 +42,7 @@ class _IntsSource:
 
     def advance(self):
         ctr = self._ctr
-        ctr.control_dispatches += 1
+        ctr.stored_dispatches += 1
         i = self._i
         if i < self._hi:
             self._i = i + 1
@@ -52,7 +52,7 @@ class _IntsSource:
         return False
 
     def get(self):
-        self._ctr.control_dispatches += 1
+        self._ctr.stored_dispatches += 1
         v = self._cur
         if v is _NOTHING:
             raise GetBeforeAdvance("source cursor has no current element")
@@ -63,7 +63,7 @@ class _RefsSource(_IntsSource):
     __slots__ = ()
 
     def get(self):
-        self._ctr.control_dispatches += 1
+        self._ctr.stored_dispatches += 1
         r = self._cur
         if r is _NOTHING:
             raise GetBeforeAdvance("source cursor has no current element")
@@ -80,18 +80,18 @@ class _MapCursor:
         self._live = False
 
     def advance(self):
-        self._ctr.control_dispatches += 1
+        self._ctr.stored_dispatches += 1
         ok = self._up.advance()
         self._live = ok
         return ok
 
     def get(self):
         ctr = self._ctr
-        ctr.control_dispatches += 1
+        ctr.stored_dispatches += 1
         if not self._live:
             raise GetBeforeAdvance("map cursor has no current element")
         v = self._up.get()
-        ctr.lambda_applies += 1
+        ctr.stored_applies += 1
         return self._fn(v)
 
 
@@ -106,12 +106,12 @@ class _FilterCursor:
 
     def advance(self):
         ctr = self._ctr
-        ctr.control_dispatches += 1
+        ctr.stored_dispatches += 1
         up = self._up
         pred = self._pred
         while up.advance():
             v = up.get()
-            ctr.lambda_applies += 1
+            ctr.stored_applies += 1
             if pred(v):
                 self._cur = v
                 return True
@@ -119,7 +119,7 @@ class _FilterCursor:
         return False
 
     def get(self):
-        self._ctr.control_dispatches += 1
+        self._ctr.stored_dispatches += 1
         v = self._cur
         if v is _NOTHING:
             raise GetBeforeAdvance("filter cursor has no current element")
@@ -167,7 +167,7 @@ class _FlatMapCursor:
         return cursor
 
     def advance(self):
-        self._ctr.control_dispatches += 1
+        self._ctr.stored_dispatches += 1
         inner = self._inner
         up = self._up
         while True:
@@ -182,7 +182,7 @@ class _FlatMapCursor:
             self._inner = inner
 
     def get(self):
-        self._ctr.control_dispatches += 1
+        self._ctr.stored_dispatches += 1
         if not self._live:
             raise GetBeforeAdvance("flat-map cursor has no current element")
         return self._inner.get()

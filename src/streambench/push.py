@@ -3,9 +3,20 @@
 The source owns the loop and feeds accept() calls down a chain built
 back-to-front.  Moving one element through a stage costs exactly one boundary
 crossing — the accept it receives — so a stage entered by k elements records k
-control_dispatches, against pull's 2k+1.  A flat-map fuses its inner loop into
-its own accept: there is no inner cursor, only bound-per-outer-element inner
-consumers, which is where the capture events come from.
+control_dispatches (and a map or filter k lambda_applies), against pull's
+2k+1.  A flat-map fuses its inner loop into its own accept: there is no inner
+cursor, only inner consumers rebound per outer element, which is where the
+capture events come from.
+
+Those counts are laws of element flow, so push keeps them off the per-element
+path.  It counts only where the flow starts or changes: the chain's head (one
+add per range in for_each_remaining, one per call on a direct accept), each
+filter's passes, and a flat-map's inner source (len(inner) per outer element).
+A map emits what enters it and counts nothing.  build_chain makes every map,
+filter and flat-map slot follow the flow entering it (counters.py), so the
+per-stage counts are derived when they are read.  A run that raises mid-way
+may leave counts above what entered, since a range or an inner source is
+counted before it moves; the engines discard a failed run's counters.
 
 SplitCursor is the indexed view the source iterates: it can split off its
 first half for parallel runs, advance one element at a time, or push
@@ -77,11 +88,18 @@ def try_advance(cursor: SplitCursor, consumer) -> bool:
 
 
 def for_each_remaining(cursor: SplitCursor, consumer) -> None:
-    """Push every remaining element, consuming the cursor."""
-    accept = consumer.accept
+    """Push every remaining element, consuming the cursor.
+
+    A chain head is credited with the whole range at once, clipped to the
+    data as the slice is, and the loop calls the stage behind it.
+    """
     data = cursor.data
     lo, hi = cursor.lo, cursor.hi
     cursor.lo = hi
+    if type(consumer) is _Head:
+        consumer.n += len(range(len(data))[lo:hi])
+        consumer = consumer.down
+    accept = consumer.accept
     if cursor.is_refs:
         # a list slice increfs every record; iterate the list when it is all
         for r in data if lo == 0 and hi >= len(data) else data[lo:hi]:
@@ -91,66 +109,85 @@ def for_each_remaining(cursor: SplitCursor, consumer) -> None:
             accept(v)
 
 
-class _MapConsumer:
-    __slots__ = ("_down", "_fn", "_ctr")
+class _Head:
+    """A chain's entry: counts each element handed to it, in `n`."""
 
-    def __init__(self, down, fn, ctr):
-        self._down = down
-        self._fn = fn
-        self._ctr = ctr
+    __slots__ = ("n", "down")
+
+    def __init__(self, down):
+        self.n = 0
+        self.down = down
 
     def accept(self, v):
-        ctr = self._ctr
-        ctr.control_dispatches += 1
-        ctr.lambda_applies += 1
+        self.n += 1
+        self.down.accept(v)
+
+
+class _MapConsumer:
+    __slots__ = ("_down", "_fn")
+
+    def __init__(self, down, fn=None):
+        self._down = down
+        self._fn = fn
+
+    def accept(self, v):
         self._down.accept(self._fn(v))
 
 
 class _FilterConsumer:
-    __slots__ = ("_down", "_pred", "_ctr")
+    """Counts the elements it passes in `n`: the flow entering the next stage."""
 
-    def __init__(self, down, pred, ctr):
+    __slots__ = ("_down", "_fn", "n")
+
+    def __init__(self, down, fn=None):
         self._down = down
-        self._pred = pred
-        self._ctr = ctr
+        self._fn = fn
+        self.n = 0
 
     def accept(self, v):
-        ctr = self._ctr
-        ctr.control_dispatches += 1
-        ctr.lambda_applies += 1
-        if self._pred(v):
+        if self._fn(v):
+            self.n += 1
             self._down.accept(v)
 
 
 class _FlatMapConsumer:
-    __slots__ = ("_down", "_ctr", "_inner_data", "_inner_refs", "_inner_stages",
-                 "_cache", "_stage_ctrs")
+    """Runs the inner chain over the inner source for each outer element.
 
-    def __init__(self, down, ctr, inner_ds, inner_stages, cache, stage_ctrs):
-        self._down = down
-        self._ctr = ctr
+    The inner consumers are built once; each outer element rebinds their
+    lambdas, which is where the capture events come from.  `n` counts the
+    inner source's elements: the flow entering the first inner stage.
+    """
+
+    __slots__ = ("_inner_data", "_inner_refs", "_width", "_rebinds", "_bind",
+                 "_inner_accept", "n", "inner")
+
+    def __init__(self, down, inner_ds, inner_stages, cache):
         self._inner_refs = isinstance(inner_ds, RefsDataset)
         self._inner_data = inner_ds.data
-        self._inner_stages = inner_stages
-        self._cache = cache
-        self._stage_ctrs = stage_ctrs
+        self._width = len(self._inner_data)
+        self._bind = cache.bind
+        self.n = 0
+        chain = down
+        inner = []
+        for stage in reversed(inner_stages):
+            if isinstance(stage, Map):
+                chain = _MapConsumer(chain)
+                inner.append((chain, stage.fn))
+            else:
+                chain = _FilterConsumer(chain)
+                inner.append((chain, stage.predicate))
+        inner.reverse()
+        self._rebinds = tuple((c, lam, lam.captures != 0) for c, lam in inner)
+        self._inner_accept = chain.accept
+        self.inner = [c for c, _ in inner]
 
     def accept(self, outer_v):
-        self._ctr.control_dispatches += 1
-        chain = self._down
-        cache = self._cache
-        bind = cache.bind
-        for stage, ctr in zip(reversed(self._inner_stages),
-                              reversed(self._stage_ctrs)):
-            if isinstance(stage, Map):
-                lam = stage.fn
-                chain = _MapConsumer(
-                    chain, bind(lam, (outer_v,) if lam.captures else ()), ctr)
-            else:
-                lam = stage.predicate
-                chain = _FilterConsumer(
-                    chain, bind(lam, (outer_v,) if lam.captures else ()), ctr)
-        accept = chain.accept
+        self.n += self._width
+        bind = self._bind
+        captures = (outer_v,)
+        for consumer, lam, capturing in self._rebinds:
+            consumer._fn = bind(lam, captures) if capturing else bind(lam)
+        accept = self._inner_accept
         if self._inner_refs:
             for r in self._inner_data:
                 accept(r.value)
@@ -188,27 +225,46 @@ class _CountSink:
 
 def build_chain(query: QueryExpr, datasets, counters: CounterSet,
                 cache: CallSiteCache | None = None):
-    """Build (head consumer, sink) for a query, wiring back-to-front."""
+    """Build (head consumer, sink) for a query, wiring back-to-front.
+
+    Each map, filter and flat-map slot then follows the flow entering it;
+    a chain with no stages is its sink, which nothing counts.
+    """
     layout = layout_query(query)
     counters.ensure_stages(layout.labels)
     if cache is None:
         cache = CallSiteCache(counters)
-    stages = counters.stages
     sink = _SumSink() if query.terminal is Terminal.SUM else _CountSink()
     chain = sink
-    for pos in range(len(query.stages) - 1, -1, -1):
-        stage = query.stages[pos]
-        ctr = stages[layout.top_slots[pos]]
+    consumers = []
+    for stage in reversed(query.stages):
         if isinstance(stage, Map):
-            chain = _MapConsumer(chain, cache.bind(stage.fn), ctr)
+            chain = _MapConsumer(chain, cache.bind(stage.fn))
         elif isinstance(stage, Filter):
-            chain = _FilterConsumer(chain, cache.bind(stage.predicate), ctr)
+            chain = _FilterConsumer(chain, cache.bind(stage.predicate))
         else:
-            inner_ds = resolve_dataset(datasets, stage.inner_source)
-            stage_ctrs = [stages[s] for s in layout.inner_slots]
-            chain = _FlatMapConsumer(chain, ctr, inner_ds, stage.stages,
-                                     cache, stage_ctrs)
-    return chain, sink
+            chain = _FlatMapConsumer(chain, resolve_dataset(datasets, stage.inner_source),
+                                     stage.stages, cache)
+        consumers.append(chain)
+    if not consumers:
+        return sink, sink
+    head = _Head(chain)
+    stages = counters.stages
+
+    def follow(slots, consumers, flow):
+        # a map passes on the flow entering it, a filter starts its own
+        for slot, consumer in zip(slots, consumers):
+            if type(consumer) is _FlatMapConsumer:
+                stages[slot].follow(flow)
+                flow = follow(layout.inner_slots, consumer.inner, consumer)
+            else:
+                stages[slot].follow(flow, flow)
+                if type(consumer) is _FilterConsumer:
+                    flow = consumer
+        return flow
+
+    follow(layout.top_slots, reversed(consumers), head)
+    return head, sink
 
 
 def run_push(query: QueryExpr, datasets, counters: CounterSet | None = None) -> int:
