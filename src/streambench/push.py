@@ -1,12 +1,13 @@
 """Push execution: internal iteration through a consumer chain.
 
 The source owns the loop and feeds accept() calls down a chain built
-back-to-front.  Moving one element through a stage costs exactly one boundary
-crossing — the accept it receives — so a stage entered by k elements records k
-control_dispatches (and a map or filter k lambda_applies), against pull's
-2k+1.  A flat-map fuses its inner loop into its own accept: there is no inner
-cursor, only inner consumers rebound per outer element, which is where the
-capture events come from.
+back-to-front; each stage's accept is a closure over its lambda and the next
+stage's accept.  Moving one element through a stage costs exactly one
+boundary crossing — the accept it receives — so a stage entered by k elements
+records k control_dispatches (and a map or filter k lambda_applies), against
+pull's 2k+1.  A flat-map fuses its inner loop into its own accept: there is no
+inner cursor, only inner accepts closed over lambdas bound afresh per outer
+element, which is where the capture events come from.
 
 Those counts are laws of element flow, so push keeps them off the per-element
 path.  It counts only where the flow starts or changes: the chain's head (one
@@ -25,11 +26,12 @@ everything remaining in one tight loop.
 
 from __future__ import annotations
 
-from .counters import CounterSet
+from .counters import CounterSet, Flow
 from .exprs import wrap_i64
 from .lambdas import CallSiteCache
 from .query import (
     Filter,
+    FlatMap,
     Map,
     QueryExpr,
     RefsDataset,
@@ -98,8 +100,9 @@ def for_each_remaining(cursor: SplitCursor, consumer) -> None:
     cursor.lo = hi
     if type(consumer) is _Head:
         consumer.n += len(range(len(data))[lo:hi])
-        consumer = consumer.down
-    accept = consumer.accept
+        accept = consumer.down
+    else:
+        accept = consumer.accept
     if cursor.is_refs:
         # a list slice increfs every record; iterate the list when it is all
         for r in data if lo == 0 and hi >= len(data) else data[lo:hi]:
@@ -110,7 +113,10 @@ def for_each_remaining(cursor: SplitCursor, consumer) -> None:
 
 
 class _Head:
-    """A chain's entry: counts each element handed to it, in `n`."""
+    """A chain's entry: counts each element handed to it, in `n`.
+
+    `down` is the first stage's accept.
+    """
 
     __slots__ = ("n", "down")
 
@@ -120,107 +126,90 @@ class _Head:
 
     def accept(self, v):
         self.n += 1
-        self.down.accept(v)
+        self.down(v)
 
 
-class _MapConsumer:
-    __slots__ = ("_down", "_fn")
-
-    def __init__(self, down, fn=None):
-        self._down = down
-        self._fn = fn
-
-    def accept(self, v):
-        self._down.accept(self._fn(v))
+# A stage's accept is a closure over its lambda and the next stage's accept,
+# so moving an element through it reads no attribute.
 
 
-class _FilterConsumer:
-    """Counts the elements it passes in `n`: the flow entering the next stage."""
-
-    __slots__ = ("_down", "_fn", "n")
-
-    def __init__(self, down, fn=None):
-        self._down = down
-        self._fn = fn
-        self.n = 0
-
-    def accept(self, v):
-        if self._fn(v):
-            self.n += 1
-            self._down.accept(v)
+def _map(down, fn):
+    def accept(v):
+        down(fn(v))
+    return accept
 
 
-class _FlatMapConsumer:
+def _filter(down, fn, passed):
+    """`passed.n` counts what fn lets through: the flow entering the next stage."""
+
+    def accept(v):
+        if fn(v):
+            passed.n += 1
+            down(v)
+    return accept
+
+
+def _flat_map(down, inner_ds, stages, passed, entered, bind):
     """Runs the inner chain over the inner source for each outer element.
 
-    The inner consumers are built once; each outer element rebinds their
-    lambdas, which is where the capture events come from.  `n` counts the
-    inner source's elements: the flow entering the first inner stage.
+    Each outer element binds the inner lambdas, which is where the capture
+    events come from, and closes the inner accepts over them.  `entered.n`
+    counts the inner source's elements, the flow entering the first inner
+    stage; `passed` holds each inner filter's flow (None for a map).
     """
+    data = inner_ds.data
+    refs = isinstance(inner_ds, RefsDataset)
+    width = len(data)
+    plan = []
+    for stage, flow in zip(stages, passed):
+        lam = stage.fn if isinstance(stage, Map) else stage.predicate
+        plan.append((lam, lam.captures != 0, flow))
+    plan.reverse()  # the accepts are built back to front
 
-    __slots__ = ("_inner_data", "_inner_refs", "_width", "_rebinds", "_bind",
-                 "_inner_accept", "n", "inner")
-
-    def __init__(self, down, inner_ds, inner_stages, cache):
-        self._inner_refs = isinstance(inner_ds, RefsDataset)
-        self._inner_data = inner_ds.data
-        self._width = len(self._inner_data)
-        self._bind = cache.bind
-        self.n = 0
-        chain = down
-        inner = []
-        for stage in reversed(inner_stages):
-            if isinstance(stage, Map):
-                chain = _MapConsumer(chain)
-                inner.append((chain, stage.fn))
-            else:
-                chain = _FilterConsumer(chain)
-                inner.append((chain, stage.predicate))
-        inner.reverse()
-        self._rebinds = tuple((c, lam, lam.captures != 0) for c, lam in inner)
-        self._inner_accept = chain.accept
-        self.inner = [c for c, _ in inner]
-
-    def accept(self, outer_v):
-        self.n += self._width
-        bind = self._bind
+    def accept(outer_v):
+        entered.n += width
         captures = (outer_v,)
-        for consumer, lam, capturing in self._rebinds:
-            consumer._fn = bind(lam, captures) if capturing else bind(lam)
-        accept = self._inner_accept
-        if self._inner_refs:
-            for r in self._inner_data:
-                accept(r.value)
+        inner = down
+        for lam, capturing, flow in plan:
+            fn = bind(lam, captures) if capturing else bind(lam)
+            inner = _map(inner, fn) if flow is None else _filter(inner, fn, flow)
+        if refs:
+            for r in data:
+                inner(r.value)
         else:
-            for v in self._inner_data:
-                accept(v)
+            for v in data:
+                inner(v)
+    return accept
 
 
 class _SumSink:
-    __slots__ = ("acc",)
+    """Folds with plain adds, congruent mod 2**64; result() wraps once."""
+
+    __slots__ = ("accept", "result")
 
     def __init__(self):
-        self.acc = 0
+        acc = 0
 
-    def accept(self, v):
-        # plain adds; congruent mod 2**64, wrapped once at the fold
-        self.acc += v
+        def accept(v):
+            nonlocal acc
+            acc += v
 
-    def result(self) -> int:
-        return wrap_i64(self.acc)
+        self.accept = accept
+        self.result = lambda: wrap_i64(acc)
 
 
 class _CountSink:
-    __slots__ = ("n",)
+    __slots__ = ("accept", "result")
 
     def __init__(self):
-        self.n = 0
+        n = 0
 
-    def accept(self, v):
-        self.n += 1
+        def accept(v):
+            nonlocal n
+            n += 1
 
-    def result(self) -> int:
-        return self.n
+        self.accept = accept
+        self.result = lambda: n
 
 
 def build_chain(query: QueryExpr, datasets, counters: CounterSet,
@@ -235,35 +224,37 @@ def build_chain(query: QueryExpr, datasets, counters: CounterSet,
     if cache is None:
         cache = CallSiteCache(counters)
     sink = _SumSink() if query.terminal is Terminal.SUM else _CountSink()
-    chain = sink
-    consumers = []
-    for stage in reversed(query.stages):
-        if isinstance(stage, Map):
-            chain = _MapConsumer(chain, cache.bind(stage.fn))
-        elif isinstance(stage, Filter):
-            chain = _FilterConsumer(chain, cache.bind(stage.predicate))
-        else:
-            chain = _FlatMapConsumer(chain, resolve_dataset(datasets, stage.inner_source),
-                                     stage.stages, cache)
-        consumers.append(chain)
-    if not consumers:
+    if not query.stages:
         return sink, sink
-    head = _Head(chain)
-    stages = counters.stages
+    # the flow each filter (its passes) and the flat-map (its inner source) starts
+    top = [None if isinstance(s, Map) else Flow() for s in query.stages]
+    inner = [Flow() if isinstance(s, Filter) else None
+             for fm in query.stages if isinstance(fm, FlatMap) for s in fm.stages]
+    accept = sink.accept
+    for stage, flow in zip(reversed(query.stages), reversed(top)):
+        if isinstance(stage, Map):
+            accept = _map(accept, cache.bind(stage.fn))
+        elif isinstance(stage, Filter):
+            accept = _filter(accept, cache.bind(stage.predicate), flow)
+        else:
+            accept = _flat_map(accept, resolve_dataset(datasets, stage.inner_source),
+                               stage.stages, inner, flow, cache.bind)
+    head = _Head(accept)
+    slots = counters.stages
 
-    def follow(slots, consumers, flow):
-        # a map passes on the flow entering it, a filter starts its own
-        for slot, consumer in zip(slots, consumers):
-            if type(consumer) is _FlatMapConsumer:
-                stages[slot].follow(flow)
-                flow = follow(layout.inner_slots, consumer.inner, consumer)
+    def follow(slot_ids, stages, started, flow):
+        # a map passes on the flow entering it; a filter or a flat-map starts one
+        for slot, stage, own in zip(slot_ids, stages, started):
+            if isinstance(stage, FlatMap):
+                slots[slot].follow(flow)
+                flow = follow(layout.inner_slots, stage.stages, inner, own)
             else:
-                stages[slot].follow(flow, flow)
-                if type(consumer) is _FilterConsumer:
-                    flow = consumer
+                slots[slot].follow(flow, flow)
+                if own is not None:
+                    flow = own
         return flow
 
-    follow(layout.top_slots, reversed(consumers), head)
+    follow(layout.top_slots, query.stages, top, head)
     return head, sink
 
 

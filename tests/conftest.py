@@ -117,3 +117,13 @@ def engine_outcomes(query, datasets, workers: int = 3, split_threshold: int = 7)
             lambda: run_parallel(optimize(query), datasets, config, CounterSet())),
     }
     return results
+
+
+def pytest_collection_modifyitems(items):
+    """Run the acceptance gate after the module tests.
+
+    The module tests take seconds and the acceptance gate takes minutes at
+    full size, so a run stopped part-way still reports every module test.
+    The sort is stable: each group keeps its collection order.
+    """
+    items.sort(key=lambda item: item.path.name == "test_acceptance.py")

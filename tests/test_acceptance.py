@@ -29,7 +29,8 @@ DEFAULT_N = 10_000_000
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
-    print(f"acceptance [{criterion}]: {'PASS' if ok else 'FAIL'} — {detail}")
+    # on a line of its own, apart from the progress dots
+    print(f"\nacceptance [{criterion}]: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
 # -- 1. oracle equivalence ---------------------------------------------------
