@@ -15,7 +15,7 @@ unrepresentable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DivisionByZero, IndexOutOfRange, InvalidExpression
 
@@ -90,6 +90,7 @@ class Arith:
     op: str
     left: "ScalarExpr"
     right: "ScalarExpr"
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in ARITH_OPS:
@@ -99,6 +100,15 @@ class Arith:
                 raise InvalidExpression("comparison nested inside arithmetic")
             if not isinstance(side, (Const, Param, Capture, Arith)):
                 raise InvalidExpression(f"bad operand: {side!r}")
+        # the emitter keys its tables by tree, so hash in O(1), not O(size)
+        object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: rebuild, never copy _hash
+        return Arith, (self.op, self.left, self.right)
 
 
 @dataclass(frozen=True, slots=True)

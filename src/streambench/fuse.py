@@ -48,7 +48,6 @@ from .query import (
     QueryExpr,
     RefsDataset,
     Terminal,
-    dataset_values,
     resolve_dataset,
 )
 
@@ -209,11 +208,17 @@ def compile_plan(plan: FusedPlan, datasets):
 
     run(lo, hi) folds the outer source's [lo, hi) and returns the partial
     result: loops, guards, the forced outer element and the accumulator are
-    all inline, and `run.source` holds the generated text.  A refs source is
-    walked as `for r in rows: x0 = r.value`, over the list itself when
-    [lo, hi) covers all of it, so a sequential run copies no pointers; an ints
-    source is sliced, a memcpy.  Under a count terminal the body is evaluated
-    only when it can raise.  A guard-free identity plan keeps the builtin sum.
+    all inline, and `run.source` holds the generated text.  The fold adds
+    the body unwrapped and wraps once at the end.  A refs source is walked
+    as `for r in rows: x0 = r.value`, over the list itself when [lo, hi)
+    covers all of it, so a sequential run copies no pointers; an ints source
+    is sliced, a memcpy.  A refs inner source is walked the same way; an ints
+    inner source is boxed into a list once per run.  A subtree of the inner
+    loop that reads no x1 and cannot raise is computed before it, once per
+    outer element; one that can raise stays, since an empty or fully
+    filtered inner source must not raise.  Under a count terminal the body
+    is evaluated only when it can raise.  A guard-free identity plan keeps
+    the builtin sum.
     """
     outer_ds = resolve_dataset(datasets, plan.outer.source)
     is_sum = plan.terminal is Terminal.SUM
@@ -228,32 +233,62 @@ def compile_plan(plan: FusedPlan, datasets):
         em.line(f"return wrap_i64(sum({rows}))" if is_sum
                 else f"return len(range(len({data}))[lo:hi])")
         return _instance(em)
+    body = plan.body if is_sum or _may_raise(plan.body) else None
+    # maps folded into the outer element still fail per element, even when
+    # the inner loop never evaluates them
+    inner_guards, forced = (), None
+    if plan.inner is not None:
+        inner_guards = plan.inner.guards
+        if _may_raise(plan.outer_element):
+            forced = plan.outer_element
+    em.expect(*plan.outer.guards, forced, *inner_guards, body)
     em.line("acc = 0")
     if is_refs:
-        em.line(f"for r in ({data} if lo == 0 and hi >= len({data}) else {rows}):")
-        em.line("    x0 = r.value")
-    else:
-        em.line(f"for x0 in {rows}:")
-    em.depth += 1
+        rows = f"({data} if lo == 0 and hi >= len({data}) else {rows})"
+    _loop(em, "x0", rows, is_refs)
     for guard in plan.outer.guards:
         em.line(f"if not {em.value(guard)}: continue")
     if plan.inner is not None:
-        # maps folded into the outer element still fail per element, even
-        # when the inner loop never evaluates them
-        if _may_raise(plan.outer_element):
-            em.value(plan.outer_element)
-        inner = dataset_values(resolve_dataset(datasets, plan.inner.source))
-        em.line(f"for x1 in {em.bind(inner)}:")
+        if forced is not None:
+            em.value(forced, wrap=False)
+        for tree in (*inner_guards, body):
+            for invariant, wrap in _invariants(tree):
+                em.hoist(invariant, wrap)
+        inner_ds = resolve_dataset(datasets, plan.inner.source)
+        inner_refs = isinstance(inner_ds, RefsDataset)
         em.params = ("x0", "x1")
-        em.depth += 1
-        for guard in plan.inner.guards:
+        _loop(em, "x1", em.bind(inner_ds.data if inner_refs else list(inner_ds.data)),
+              inner_refs)
+        for guard in inner_guards:
             em.line(f"if not {em.value(guard)}: continue")
-    if is_sum or _may_raise(plan.body):
-        body = em.value(plan.body)
+    if body is not None:
+        body = em.value(body, wrap=False)
     em.line(f"acc += {body}" if is_sum else "acc += 1")
     em.depth = 2
     em.line("return wrap_i64(acc)" if is_sum else "return acc")
     return _instance(em)
+
+
+def _loop(em: Emitter, var: str, rows: str, is_refs: bool) -> None:
+    """Open `for <var> in <rows>`; a refs row is read through `r.value`."""
+    if is_refs:
+        em.line(f"for r in {rows}:")
+        em.line(f"    {var} = r.value")
+    else:
+        em.line(f"for {var} in {rows}:")
+    em.depth += 1
+
+
+def _invariants(expr, wrap: bool = False) -> list:
+    """(subtree, wrap) for the largest Arith subtrees that read no x1 and
+    cannot raise; wrap when a comparison or a mod observes the subtree."""
+    kind = type(expr)
+    if kind is Arith and max_param_index(expr) < 1 and not _may_raise(expr):
+        return [(expr, wrap)]
+    if kind in (Arith, Cmp):
+        wrap = kind is Cmp or expr.op == "mod"
+        return _invariants(expr.left, wrap) + _invariants(expr.right, wrap)
+    return []
 
 
 def _instance(em: Emitter):

@@ -78,18 +78,26 @@ def is_capturing(lam: Lambda) -> bool:
 # ---------------------------------------------------------------------------
 # Code generation: expression tree -> Python source -> callable
 # ---------------------------------------------------------------------------
-# Every tree reaches Python through one Emitter.  It writes one statement per
-# Arith node into the body of a generated function and compiles that with
-# compile()/exec().  The source holds only names the emitter makes itself,
-# op symbols from the tables below and indentation: every Const value,
-# capture value and dataset is bound to a name, so no text of a tree value
-# ever reaches exec().
+# Every tree reaches Python through one Emitter, a small optimizing pass that
+# writes the body of one generated function and compiles it with
+# compile()/exec().  Add, sub and mul commute with reduction mod 2**64, so
+# their values are written unwrapped, as inline expressions, and wrapped only
+# where something observes them non-congruently: a mod operand, a comparison
+# side or the value a lambda instance returns.  A static bound on each value's
+# bit width wraps early past WRAP_BUDGET bits, so no chain builds huge ints.
+# A subtree met more than once is computed once into a temp and reused.  The
+# source holds only names the emitter makes itself, op symbols from the
+# tables below and indentation: every Const value, capture value and dataset
+# is bound to a name, so no text of a tree value ever reaches exec().
 
 _ARITH_SYMBOL = {"add": "+", "sub": "-", "mul": "*"}
 _CMP_SYMBOL = {"eq": "==", "lt": "<"}
 _ZERO = Const(0)
 _HELPERS = {"MIN": I64_MIN, "MAX": I64_MAX, "wrap_i64": wrap_i64,
             "mod_i64": mod_i64}
+# widest unwrapped value, in bits, an add/sub/mul may build before its
+# operands are wrapped; a leaf or a wrapped value has 64
+WRAP_BUDGET = 256
 
 
 class Emitter:
@@ -98,7 +106,10 @@ class Emitter:
     `params` names the variables Param(0), Param(1), ... read and `captures`
     the ones Capture(0), ... read; both are bound by the caller's source.
     Lines go into the function body at indent level `depth`, which a caller
-    emitting loops raises.
+    emitting loops raises.  `_memo` maps each tree computed into a temp to
+    (temp, bit bound).  Every statement at one loop level precedes the loop
+    nested in it, so a temp is only reused where it was made or in a loop
+    nested there: a position its computation dominates.
     """
 
     def __init__(self, params: tuple, captures: tuple = ()):
@@ -108,6 +119,9 @@ class Emitter:
         self.names = list(_HELPERS)
         self.values = list(_HELPERS.values())
         self.lines: list[str] = []
+        self._memo: dict = {}
+        self._seen: set = set()
+        self._shared: set = set()
         self._temps = itertools.count()
 
     def bind(self, value) -> str:
@@ -120,44 +134,101 @@ class Emitter:
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
 
-    def value(self, expr: ScalarExpr) -> str:
+    def expect(self, *trees) -> None:
+        """Note trees the caller will emit (None is skipped): an Arith subtree
+        met a second time is shared, and gets a temp when first computed."""
+        def walk(expr):
+            if type(expr) is Arith:
+                if expr in self._seen:
+                    self._shared.add(expr)
+                    return
+                self._seen.add(expr)
+            if type(expr) in (Arith, Cmp):
+                walk(expr.left)
+                walk(expr.right)
+        for tree in trees:
+            walk(tree)
+
+    def value(self, expr: ScalarExpr, wrap: bool = True) -> str:
         """Emit the statements that compute `expr`; return the text of its value.
 
-        An Arith node becomes one statement, followed for add/sub/mul by the
-        64-bit wrap check.  A mod by a non-zero constant is inlined with the
-        sign of the dividend; any other mod calls mod_i64, so a zero divisor
-        raises DivisionByZero.  A Cmp root becomes an expression.  The zero
-        test `a mod k == 0` (either operand order, k a non-zero constant) is
-        written `a % |k| == 0`: truncated and floored remainders are zero for
-        exactly the same dividends, so it needs no temp and no sign branch.
+        With wrap=False the value is only congruent mod 2**64, which is all a
+        fold needs.  A mod is a statement: inlined with the sign of the
+        dividend for a non-zero constant divisor, else a mod_i64 call, so a
+        zero divisor raises DivisionByZero.  Reusing a shared subtree's temp
+        adds and drops no raise, since its first evaluation ran in the same
+        order.  A Cmp root becomes an expression.  The zero test `a mod k ==
+        0` (either operand order, k a non-zero constant) is written
+        `a % |k| == 0`: truncated and floored remainders are zero for exactly
+        the same dividends, so it needs no temp and no sign branch.
         """
-        kind = type(expr)
-        if kind is Param:
-            return _slot(self.params, expr.index, "param")
-        if kind is Capture:
-            return _slot(self.captures, expr.slot, "capture slot")
-        if kind is Const:
-            return self.bind(expr.value)
-        if kind not in (Arith, Cmp):
-            raise InvalidExpression(f"not an expression node: {type(expr).__name__}")
-        if kind is Cmp:
+        if type(expr) is Cmp:
             if expr.op == "eq" and _ZERO in (expr.left, expr.right):
                 return f"{self._zero_side(expr.left)} == {self._zero_side(expr.right)}"
             sym = _symbol(_CMP_SYMBOL, expr.op)
             return f"{self.value(expr.left)} {sym} {self.value(expr.right)}"
-        left = self.value(expr.left)
-        t = f"t{next(self._temps)}"
-        right = expr.right
-        if _mod_by_const(expr):
-            k = self.bind(abs(right.value))
-            self.line(f"{t} = {left} % {k} if {left} >= 0 else -(-{left} % {k})")
-        elif expr.op == "mod":
-            self.line(f"{t} = mod_i64({left}, {self.value(right)})")
-        else:
-            sym = _symbol(_ARITH_SYMBOL, expr.op)
-            self.line(f"{t} = {left} {sym} {self.value(right)}")
-            self.line(f"if not MIN <= {t} <= MAX: {t} = wrap_i64({t})")
-        return t
+        text, bits = self._arith(expr)
+        return self._wrapped(expr, text, bits) if wrap else text
+
+    def hoist(self, expr: ScalarExpr, wrap: bool) -> None:
+        """Compute an Arith tree into a temp here, for later code to reuse;
+        wrap it here too when the code after observes it wrapped."""
+        text, bits = self._arith(expr)
+        if expr not in self._memo:
+            self._temp(expr, text, bits)
+        if wrap:
+            self._wrapped(expr, *self._memo[expr])
+
+    def _arith(self, expr: ScalarExpr):
+        """(text, bits): text of a value congruent to expr's mod 2**64, and
+        a bound 2**bits on its magnitude."""
+        kind = type(expr)
+        if kind is Param:
+            return _slot(self.params, expr.index, "param"), 64
+        if kind is Capture:
+            return _slot(self.captures, expr.slot, "capture slot"), 64
+        if kind is Const:
+            return self.bind(expr.value), 64
+        if kind is not Arith:
+            raise InvalidExpression(f"not an expression node: {type(expr).__name__}")
+        hit = self._memo.get(expr)
+        if hit is not None:
+            return hit
+        if expr.op == "mod":
+            left = self.value(expr.left)
+            if _mod_by_const(expr):
+                k = self.bind(abs(expr.right.value))
+                text = f"{left} % {k} if {left} >= 0 else -(-{left} % {k})"
+            else:
+                text = f"mod_i64({left}, {self.value(expr.right)})"
+            return self._temp(expr, text, 64)
+        sym = _symbol(_ARITH_SYMBOL, expr.op)
+        (left, lbits), (right, rbits) = self._arith(expr.left), self._arith(expr.right)
+        bits = lbits + rbits if sym == "*" else max(lbits, rbits) + 1
+        if bits > WRAP_BUDGET:
+            left = self._wrapped(expr.left, left, lbits)
+            right = self._wrapped(expr.right, right, rbits)
+            bits = 128 if sym == "*" else 65
+        text = f"{_operand(left)} {sym} {_operand(right)}"
+        if expr in self._shared:
+            return self._temp(expr, text, bits)
+        return text, bits
+
+    def _wrapped(self, expr: ScalarExpr, text: str, bits: int) -> str:
+        """The value `_arith` gave for expr, reduced to signed 64 bits."""
+        if bits <= 64:
+            return text
+        name, bits = self._memo.get(expr) or self._temp(expr, text, bits)
+        if bits > 64:
+            self.line(f"if not MIN <= {name} <= MAX: {name} = wrap_i64({name})")
+            self._memo[expr] = (name, 64)
+        return name
+
+    def _temp(self, expr: ScalarExpr, text: str, bits: int):
+        name = f"t{next(self._temps)}"
+        self.line(f"{name} = {text}")
+        self._memo[expr] = (name, bits)
+        return name, bits
 
     def _zero_side(self, expr: ScalarExpr) -> str:
         """One side of a comparison with 0: a mod by a constant k stays the
@@ -184,6 +255,11 @@ class Emitter:
         return make
 
 
+def _operand(text: str) -> str:
+    """An operand's text, parenthesized unless it is a name."""
+    return text if text.isidentifier() else f"({text})"
+
+
 def _mod_by_const(expr: ScalarExpr) -> bool:
     """True for a mod node whose divisor is a non-zero constant."""
     return (type(expr) is Arith and expr.op == "mod"
@@ -206,6 +282,7 @@ def _symbol(table: dict, op: str) -> str:
 def _compile(expr: ScalarExpr, params: tuple, captures: int):
     """Maker for f(*params) computing `expr`; the maker takes the captures."""
     em = Emitter(params, tuple(f"c{i}" for i in range(captures)))
+    em.expect(expr)
     em.line(f"return {em.value(expr)}")
     return em.build("fn", params)
 
@@ -259,6 +336,18 @@ class CallSiteCache:
                 f"lambda captures {lam.captures} values, got {len(captures)}")
         site.counters.instantiations += 1
         return site.template(*captures)
+
+    def direct(self, lam: Lambda):
+        """How to bind `lam` again without bind, once a bind of it passed.
+
+        (counters, template) for a capturing site: the caller counts one
+        instantiation and calls template(*captures) itself, as bind would;
+        (None, instance) for a non-capturing one.
+        """
+        site = self._sites[lam.site_id]
+        if site.template is None:
+            return None, site.instance
+        return site.counters, site.template
 
     def _link(self, lam: Lambda) -> _Site:
         if lam.arity != 1:

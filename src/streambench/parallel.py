@@ -2,8 +2,11 @@
 
 The outer SplitCursor is split in half recursively until every leaf is at or
 below the split threshold; the leaves land in a shared deque that worker
-threads drain (plain work-sharing, no stealing).  Each worker owns a private
-consumer chain and a private CounterSet; a fused plan is compiled once per
+threads drain (plain work-sharing, no stealing).  With one worker, or a
+source that forms one leaf, the workers run one after another in the calling
+thread instead; each still builds its own chain, so links and counters are
+the same either way.  Each worker owns a private consumer chain and a
+private CounterSet; a fused plan is compiled once per
 run and its generated function, which holds no state, serves every worker.
 There is no shared mutable state until the single join point, where partial
 accumulators combine with a wrapping add and counters merge by addition.
@@ -151,8 +154,10 @@ def run_parallel(target, datasets, config: ParallelConfig | None = None,
     workers = config.resolved_workers()
 
     results = [_WorkerResult() for _ in range(workers)]
-    if workers == 1:
-        run_leaves(work, datasets, tasks, results[0])
+    if workers == 1 or len(leaves) <= 1:
+        # nothing to share: the first worker drains the queue
+        for result in results:
+            run_leaves(work, datasets, tasks, result)
     else:
         threads = [
             threading.Thread(

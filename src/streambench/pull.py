@@ -131,11 +131,13 @@ class _FlatMapCursor:
 
     Rebinding the inner lambdas for every outer element is the capture event
     the call-site counters record; the inner cursors charge their crossings to
-    the inner stage slots.
+    the inner stage slots.  The first outer element binds through the cache,
+    which links and checks each inner site; later ones count the
+    instantiation and call the site's template directly.
     """
 
     __slots__ = ("_up", "_ctr", "_inner_data", "_inner_refs", "_inner_stages",
-                 "_cache", "_src_ctr", "_stage_ctrs", "_inner", "_live")
+                 "_cache", "_src_ctr", "_stage_ctrs", "_linked", "_inner", "_live")
 
     def __init__(self, up, ctr, inner_ds, inner_stages, cache, src_ctr, stage_ctrs):
         self._up = up
@@ -146,6 +148,7 @@ class _FlatMapCursor:
         self._cache = cache
         self._src_ctr = src_ctr
         self._stage_ctrs = stage_ctrs
+        self._linked = []  # per inner stage: (counters, template or instance, cursor class, slot)
         self._inner = None
         self._live = False
 
@@ -154,16 +157,25 @@ class _FlatMapCursor:
             cursor = _RefsSource(self._inner_data, self._src_ctr)
         else:
             cursor = _IntsSource(self._inner_data, self._src_ctr)
+        linked = self._linked
+        if linked:
+            for ctr, make, kind, slot in linked:
+                if ctr is None:
+                    fn = make
+                else:
+                    ctr.instantiations += 1
+                    fn = make(outer_v)
+                cursor = kind(cursor, fn, slot)
+            return cursor
         cache = self._cache
-        for stage, ctr in zip(self._inner_stages, self._stage_ctrs):
-            if isinstance(stage, Map):
-                lam = stage.fn
-                fn = cache.bind(lam, (outer_v,) if lam.captures else ())
-                cursor = _MapCursor(cursor, fn, ctr)
-            else:
-                lam = stage.predicate
-                fn = cache.bind(lam, (outer_v,) if lam.captures else ())
-                cursor = _FilterCursor(cursor, fn, ctr)
+        bound = []
+        for stage, slot in zip(self._inner_stages, self._stage_ctrs):
+            lam, kind = ((stage.fn, _MapCursor) if isinstance(stage, Map)
+                         else (stage.predicate, _FilterCursor))
+            fn = cache.bind(lam, (outer_v,) if lam.captures else ())
+            cursor = kind(cursor, fn, slot)
+            bound.append((lam, kind, slot))
+        self._linked = [(*cache.direct(lam), kind, slot) for lam, kind, slot in bound]
         return cursor
 
     def advance(self):

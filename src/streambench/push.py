@@ -149,30 +149,41 @@ def _filter(down, fn, passed):
     return accept
 
 
-def _flat_map(down, inner_ds, stages, passed, entered, bind):
+def _flat_map(down, inner_ds, stages, passed, entered, cache):
     """Runs the inner chain over the inner source for each outer element.
 
     Each outer element binds the inner lambdas, which is where the capture
-    events come from, and closes the inner accepts over them.  `entered.n`
-    counts the inner source's elements, the flow entering the first inner
-    stage; `passed` holds each inner filter's flow (None for a map).
+    events come from, and closes the inner accepts over them.  The first one
+    binds through the cache, which links and checks each inner site; later
+    ones count the instantiation and call the site's template directly.
+    `entered.n` counts the inner source's elements, the flow entering the
+    first inner stage; `passed` holds each inner filter's flow (None for a
+    map).
     """
     data = inner_ds.data
     refs = isinstance(inner_ds, RefsDataset)
     width = len(data)
-    plan = []
-    for stage, flow in zip(stages, passed):
-        lam = stage.fn if isinstance(stage, Map) else stage.predicate
-        plan.append((lam, lam.captures != 0, flow))
+    plan = [(stage.fn if isinstance(stage, Map) else stage.predicate, flow)
+            for stage, flow in zip(stages, passed)]
     plan.reverse()  # the accepts are built back to front
+    linked = []  # per plan entry: (counters, template or instance, flow)
 
     def accept(outer_v):
         entered.n += width
-        captures = (outer_v,)
         inner = down
-        for lam, capturing, flow in plan:
-            fn = bind(lam, captures) if capturing else bind(lam)
-            inner = _map(inner, fn) if flow is None else _filter(inner, fn, flow)
+        if linked:
+            for ctr, make, flow in linked:
+                if ctr is None:
+                    fn = make
+                else:
+                    ctr.instantiations += 1
+                    fn = make(outer_v)
+                inner = _map(inner, fn) if flow is None else _filter(inner, fn, flow)
+        else:
+            for lam, flow in plan:
+                fn = cache.bind(lam, (outer_v,) if lam.captures else ())
+                inner = _map(inner, fn) if flow is None else _filter(inner, fn, flow)
+            linked.extend((*cache.direct(lam), flow) for lam, flow in plan)
         if refs:
             for r in data:
                 inner(r.value)
@@ -238,7 +249,7 @@ def build_chain(query: QueryExpr, datasets, counters: CounterSet,
             accept = _filter(accept, cache.bind(stage.predicate), flow)
         else:
             accept = _flat_map(accept, resolve_dataset(datasets, stage.inner_source),
-                               stage.stages, inner, flow, cache.bind)
+                               stage.stages, inner, flow, cache)
     head = _Head(accept)
     slots = counters.stages
 

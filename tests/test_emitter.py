@@ -1,0 +1,308 @@
+"""The emitter as an optimizer: deferred wraps, shared subtrees, hoisting.
+
+Generated code must equal the reference interpreter bit for bit however the
+emitter rearranges it, so every property here compares against eval_scalar
+or oracle_run; the source-text tests pin the shapes the optimizer promises.
+"""
+
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import engine_outcomes
+from test_lambdas import run_to_outcome
+from streambench import lambdas, parallel
+from streambench.counters import CounterSet
+from streambench.errors import DivisionByZero
+from streambench.exprs import (
+    I64_MAX,
+    I64_MIN,
+    Arith,
+    Capture,
+    Cmp,
+    Const,
+    Param,
+    eval_scalar,
+)
+from streambench.fuse import compile_plan, exec_fused, optimize
+from streambench.lambdas import CallSiteCache, compile_binary, compile_unary, make_lambda
+from streambench.parallel import ParallelConfig, run_parallel
+from streambench.pull import open_chain
+from streambench.push import SplitCursor, build_chain, for_each_remaining
+from streambench.query import (
+    Filter,
+    FlatMap,
+    Map,
+    Terminal,
+    build_query,
+    ints_dataset,
+    refs_dataset,
+)
+from streambench.suite import define_suite, oracle_run
+
+X = Param(0)
+C = Capture(0)
+EDGES = (0, 1, -1, 2, -3, 7, 1 << 31, 1 << 32, -(1 << 32), 1 << 62, -(1 << 62),
+         I64_MIN, I64_MIN + 1, I64_MAX - 1, I64_MAX)
+edge_values = st.one_of(st.sampled_from(EDGES), st.integers(-6, 6),
+                        st.integers(I64_MIN, I64_MAX))
+ARITH = ("add", "sub", "mul", "mod")
+
+
+def trees(n_params: int = 1, n_captures: int = 0):
+    """Arith trees over edge values, with long chains and repeated subtrees.
+
+    A chain of a dozen muls reaches 768 bits unwrapped, three times the
+    emitter's budget; a repeated subtree exercises value numbering.
+    """
+    leaves = [st.builds(Const, edge_values),
+              st.builds(Param, st.integers(0, n_params - 1))]
+    if n_captures:
+        leaves.append(st.builds(Capture, st.integers(0, n_captures - 1)))
+    leaf = st.one_of(*leaves)
+    steps = st.lists(st.tuples(st.sampled_from(("add", "sub", "mul", "mul")), leaf),
+                     min_size=3, max_size=12)
+    chains = st.builds(lambda head, rest: reduce(
+        lambda acc, step: Arith(step[0], acc, step[1]), rest, head), leaf, steps)
+
+    def grow(kids):
+        pairs = st.builds(Arith, st.sampled_from(ARITH), kids, kids)
+        repeated = st.builds(lambda t, op, op2, other: Arith(op, t, Arith(op2, other, t)),
+                             kids, st.sampled_from(ARITH), st.sampled_from(ARITH), kids)
+        return st.one_of(pairs, repeated)
+    return st.recursive(st.one_of(leaf, chains), grow, max_leaves=24)
+
+
+def predicates(n_params: int = 1, n_captures: int = 0):
+    sides = trees(n_params, n_captures)
+    return st.builds(Cmp, st.sampled_from(("eq", "lt")), sides, sides)
+
+
+class TestCompiledEqualsReference:
+    @given(trees(n_captures=1), edge_values, edge_values)
+    def test_unary(self, tree, x, c):
+        got = run_to_outcome(lambda: compile_unary(tree, (c,))(x))
+        assert got == run_to_outcome(lambda: eval_scalar(tree, (x,), (c,)))
+
+    @given(trees(n_params=2), edge_values, edge_values)
+    def test_binary(self, tree, a, b):
+        got = run_to_outcome(lambda: compile_binary(tree)(a, b))
+        assert got == run_to_outcome(lambda: eval_scalar(tree, (a, b)))
+
+    @given(predicates(), edge_values)
+    def test_predicate(self, tree, x):
+        got = run_to_outcome(lambda: compile_unary(tree)(x))
+        assert got == run_to_outcome(lambda: eval_scalar(tree, (x,)))
+
+    def test_mul_chain_past_budget(self):
+        # x**4 fits the budget and wraps once, at the return; longer chains
+        # wrap early as well
+        for n, wraps in ((4, 1), (5, 2), (20, 7)):
+            chain = reduce(lambda acc, _: Arith("mul", acc, X), range(n - 1), X)
+            fn = compile_unary(chain)
+            for x in (3, I64_MAX, I64_MIN, -(1 << 32) - 1):
+                assert fn(x) == eval_scalar(chain, (x,))
+            source = lambdas._compile(chain, ("x0",), 0).source
+            assert source.count("wrap_i64(") == wraps
+
+    def test_instance_returns_wrapped_value(self):
+        inc = compile_unary(Arith("add", Arith("mul", X, X), Const(1)))
+        assert inc(1 << 32) == 1
+        assert type(inc(I64_MAX)) is int
+        assert I64_MIN <= inc(I64_MAX) <= I64_MAX
+
+
+def _slices(n):
+    return ((0, n), (0, n + 5), (0, 3), (2, 5), (5, 5))
+
+
+def check_slices(query, values, make, inner=None):
+    """exec_fused over each slice equals the oracle on that slice."""
+    plan = optimize(query)
+    extra = {} if inner is None else {"inner": inner}
+    for lo, hi in _slices(len(values)):
+        want = run_to_outcome(lambda: oracle_run(query, {"src": make(values[lo:hi]), **extra}))
+        got = run_to_outcome(
+            lambda: exec_fused(plan, {"src": make(values), **extra}, lo=lo, hi=hi))
+        assert got == want
+
+
+layouts = st.sampled_from((ints_dataset, refs_dataset))
+divisors = st.one_of(st.sampled_from((0, 1, -1, 2, -3, 7, I64_MIN, I64_MAX)),
+                     st.integers(I64_MIN, I64_MAX))
+
+
+class TestFusedEqualsOracle:
+    # each example compiles a plan and runs the oracle over five slices
+    @settings(deadline=None)
+    @given(trees(), divisors, st.sampled_from(("eq", "lt")), edge_values,
+           st.sampled_from(ARITH), trees(), st.lists(edge_values, max_size=10),
+           st.sampled_from(Terminal), layouts)
+    def test_guard_and_body_share_a_mod(self, f, k, op, c, op2, g, values,
+                                        terminal, make):
+        shared = Arith("mod", X, Const(k))
+        stages = [Map(make_lambda(f)), Filter(make_lambda(Cmp(op, shared, Const(c)))),
+                  Map(make_lambda(Arith(op2, shared, g)))]
+        check_slices(build_query("src", stages, terminal), values, make)
+
+    @settings(deadline=None)
+    @given(trees(), trees(n_captures=1), predicates(n_captures=1),
+           st.sampled_from(("map", "filter", "both")),
+           st.lists(edge_values, max_size=8), st.lists(edge_values, max_size=4),
+           st.sampled_from(Terminal), layouts, layouts)
+    def test_flat_map(self, f, inner_f, inner_p, shape, values, inner_values,
+                      terminal, make, make_inner):
+        inner_stages = {"map": (Map(make_lambda(inner_f, captures=1)),),
+                        "filter": (Filter(make_lambda(inner_p, captures=1)),),
+                        "both": (Filter(make_lambda(inner_p, captures=1)),
+                                 Map(make_lambda(inner_f, captures=1)))}[shape]
+        q = build_query("src", [Map(make_lambda(f)), FlatMap("inner", inner_stages)],
+                        terminal)
+        check_slices(q, values, make, make_inner(inner_values))
+
+    @pytest.mark.parametrize("make", [ints_dataset, refs_dataset])
+    @pytest.mark.parametrize("terminal", list(Terminal))
+    def test_raising_outer_only_subtree_needs_an_inner_element(self, make, terminal):
+        # (c0 mod 0) reads only the outer element and raises: it must stay in
+        # the inner loop, so an inner source that is empty or fully filtered
+        # raises nothing, as in every other engine
+        fails = Arith("mod", C, Const(0))
+        in_guard = (Filter(make_lambda(Cmp("lt", X, fails), captures=1)),)
+        in_body = (Map(make_lambda(Arith("add", X, fails), captures=1)),)
+        filtered = (Filter(make_lambda(Cmp("lt", X, X))), *in_body)
+        ok, err = ("ok", 0), ("err", DivisionByZero)
+        for stages, inner, want in ((in_guard, [], ok), (in_body, [], ok),
+                                    (filtered, [1, 2], ok), (in_guard, [1, 2], err),
+                                    (in_body, [1, 2], err)):
+            q = build_query("src", [FlatMap("inner", stages)], terminal)
+            outcomes = engine_outcomes(q, {"src": make([3, 4]), "inner": make(inner)})
+            assert set(outcomes.values()) == {want}, outcomes
+
+
+def _source(name):
+    bench = next(b for b in define_suite() if b.name == name)
+    return compile_plan(optimize(bench.build_query()), bench.gen_inputs(8)).source
+
+
+class TestGeneratedText:
+    @pytest.mark.parametrize("name, fold", [("cart", "acc += x1 * x0"),
+                                            ("sumOfSquaresEven", "acc += x0 * x0")])
+    def test_suite_loops_have_no_wrap_check(self, name, fold):
+        source = _source(name)
+        assert "MIN <=" not in source
+        assert fold in source
+
+    def test_outer_only_subtree_is_hoisted(self):
+        fm = FlatMap("inner", (Map(make_lambda(Arith("mul", X, Arith("mul", C, C)),
+                                               captures=1)),))
+        q = build_query("src", [fm], Terminal.SUM)
+        ds = {"src": ints_dataset([3, -5]), "inner": ints_dataset([1, 2])}
+        run = compile_plan(optimize(q), ds)
+        assert run.source.count("x0 * x0") == 1
+        assert run.source.index("x0 * x0") < run.source.index("for x1")
+        assert run(0, 2) == oracle_run(q, ds)
+
+    def test_hoisted_value_a_guard_compares_is_wrapped_once_per_outer(self):
+        square = Arith("mul", C, C)
+        fm = FlatMap("inner", (Filter(make_lambda(Cmp("lt", X, square), captures=1)),
+                               Map(make_lambda(Arith("add", X, square), captures=1))))
+        q = build_query("src", [fm], Terminal.SUM)
+        ds = {"src": ints_dataset([1 << 32, -3]), "inner": ints_dataset([-1, 2, 12])}
+        run = compile_plan(optimize(q), ds)
+        assert run.source.count("MIN <=") == 1
+        assert run.source.index("MIN <=") < run.source.index("for x1")
+        assert run(0, 2) == oracle_run(q, ds)
+
+    def test_shared_subtree_is_computed_once(self):
+        f = Arith("add", Arith("mul", X, X), Const(3))
+        q = build_query("src", [Map(make_lambda(f)),
+                                Filter(make_lambda(Cmp("lt", Const(5), X))),
+                                Map(make_lambda(Arith("mul", X, X)))], Terminal.SUM)
+        ds = {"src": ints_dataset(range(-4, 4))}
+        run = compile_plan(optimize(q), ds)
+        assert run.source.count("x0 * x0") == 1
+        assert run(0, 8) == oracle_run(q, ds)
+
+    def test_refs_inner_source_pays_its_pointer_chase(self):
+        q = build_query("src", [FlatMap("inner", ())], Terminal.SUM)
+        ds = {"src": ints_dataset([1, 2]), "inner": refs_dataset([10, 20])}
+        run = compile_plan(optimize(q), ds)
+        assert "x1 = r.value" in run.source
+        assert run(0, 2) == 60
+
+
+class TestParallelSingleLeaf:
+    def test_runs_inline_and_links_per_worker(self, monkeypatch):
+        started = []
+
+        class Recording(parallel.threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(parallel.threading, "Thread", Recording)
+        sq = make_lambda(Arith("mul", X, X))
+        q = build_query("src", [Map(sq)], Terminal.SUM)
+        for n, threads in ((10, 0), (40, 2)):
+            ds = {"src": ints_dataset(range(n))}
+            counters = CounterSet()
+            config = ParallelConfig(workers=2, split_threshold=16)
+            started.clear()
+            assert run_parallel(q, ds, config, counters) == oracle_run(q, ds)
+            assert run_parallel(optimize(q), ds, config) == oracle_run(q, ds)
+            assert len(started) == 2 * threads
+            assert counters.sites[sq.site_id].link_events == 2
+            assert counters.stages[1].control_dispatches == n
+
+
+class _CountingBinds(CallSiteCache):
+    def __init__(self, counters):
+        super().__init__(counters)
+        self.binds = 0
+
+    def bind(self, lam, captures=()):
+        self.binds += 1
+        return super().bind(lam, captures)
+
+
+def _drive_pull(query, ds, cache):
+    chain = open_chain(query, ds, cache.counters, cache)
+    total = 0
+    while chain.advance():
+        total += chain.get()
+    return total
+
+
+def _drive_push(query, ds, cache):
+    head, sink = build_chain(query, ds, cache.counters, cache)
+    for_each_remaining(SplitCursor(ds["src"]), head)
+    return sink.result()
+
+
+class TestFlatMapBinds:
+    @pytest.mark.parametrize("drive", [_drive_pull, _drive_push])
+    def test_first_outer_element_binds_through_the_cache(self, drive):
+        scaled = make_lambda(Arith("mul", X, C), captures=1)
+        keep = make_lambda(Cmp("lt", C, X), captures=1)
+        plain = make_lambda(Arith("add", X, Const(1)))
+        q = build_query("src", [FlatMap("inner", (Filter(keep), Map(plain), Map(scaled)))],
+                        Terminal.SUM)
+        ds = {"src": ints_dataset(range(6)), "inner": refs_dataset(range(4))}
+        cache = _CountingBinds(CounterSet())
+        assert drive(q, ds, cache) == oracle_run(q, ds)
+        assert cache.binds == 3
+        assert cache.stats(scaled.site_id) == (1, 6)
+        assert cache.stats(keep.site_id) == (1, 6)
+        assert cache.stats(plain.site_id) == (1, 1)
+
+    @pytest.mark.parametrize("drive", [_drive_pull, _drive_push])
+    def test_unreached_flat_map_links_nothing(self, drive):
+        scaled = make_lambda(Arith("mul", X, C), captures=1)
+        q = build_query("src", [Filter(make_lambda(Cmp("lt", X, X))),
+                                FlatMap("inner", (Map(scaled),))], Terminal.SUM)
+        ds = {"src": ints_dataset(range(6)), "inner": ints_dataset(range(4))}
+        cache = _CountingBinds(CounterSet())
+        assert drive(q, ds, cache) == 0
+        assert cache.stats(scaled.site_id) == (0, 0)
+
