@@ -6,18 +6,21 @@ per-call-site closure linkage and instantiation events.  Counters only ever
 increase during a run, and two CounterSets merge by plain addition so that
 parallel workers can accumulate privately and combine at the join point.
 
-A stage's counts come from two places.  Its stored ints are written as events
-happen: pull adds to them on every call, and assignments land there.  A stage
-may also follow live flows, any object with an int `n` that an engine keeps
-counting: push counts only where the element flow starts or changes (the
-chain's head, each filter's passes, a flat-map's inner source) and lets every
-map, filter and flat-map slot follow the flow that enters it.  Reading
-`control_dispatches` or `lambda_applies` adds the stored and the live parts,
-so `repr`, `merge` and pickling see the totals.
+A stage's counts come from two places.  Its stored ints hold what earlier
+runs and merges left and what assignments write.  A stage may also follow
+live flows, any object with an int `n` that an engine keeps current; both
+engines count only where the element flow starts or changes and derive the
+rest.  Push counts the chain's head, each filter's passes and a flat-map's
+inner source, and lets every map, filter and flat-map slot follow the flow
+that enters it.  Pull's slots follow flows whose `n` is computed from cursor
+state when it is read (pull.py).  Reading `control_dispatches` or
+`lambda_applies` adds the stored and the live parts, so `repr`, `merge` and
+pickling see the totals.
 
-After a run raises mid-way the counts may exceed what entered a stage (push
-counts an element range or an inner source before it moves it); the engines
-discard a failed run's result and counters.
+After a run raises mid-way the counts may differ from the calls made: push's
+may exceed what entered a stage (it counts an element range or an inner
+source before it moves it), and pull's may be below the calls made.  The
+engines discard a failed run's result and counters.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ NO_FLOW = Flow()  # never counted into
 class StageCounters:
     """Dispatch and apply counts for one pipeline stage.
 
-    `stored_dispatches` and `stored_applies` are plain slots that engines may
-    add to on their hot path; the public totals add the live flows the stage
-    follows.
+    `stored_dispatches` and `stored_applies` are plain slots; the public
+    totals add the live flows the stage follows.
     """
 
     __slots__ = ("label", "stored_dispatches", "stored_applies",

@@ -40,7 +40,7 @@ from .exprs import (
     max_capture_slot,
     max_param_index,
 )
-from .lambdas import Emitter
+from .lambdas import Emitter, mod_by_const
 from .query import (
     Filter,
     FlatMap,
@@ -102,11 +102,12 @@ class FusedPlan:
 
 
 def _may_raise(expr: ScalarExpr) -> bool:
-    """True when evaluating the tree can fail (it contains a mod node)."""
+    """True when evaluating the tree can fail: it holds a mod whose divisor
+    is not a non-zero constant."""
     kind = type(expr)
     if kind in (Const, Param, Capture):
         return False
-    if kind is Arith and expr.op == "mod":
+    if kind is Arith and expr.op == "mod" and not mod_by_const(expr):
         return True
     return _may_raise(expr.left) or _may_raise(expr.right)
 

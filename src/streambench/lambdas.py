@@ -160,7 +160,9 @@ class Emitter:
         order.  A Cmp root becomes an expression.  The zero test `a mod k ==
         0` (either operand order, k a non-zero constant) is written
         `a % |k| == 0`: truncated and floored remainders are zero for exactly
-        the same dividends, so it needs no temp and no sign branch.
+        the same dividends, so it needs no temp and no sign branch.  When
+        other code reads the same `a mod k`, the test compares its signed
+        temp with 0 instead, so the remainder is computed once.
         """
         if type(expr) is Cmp:
             if expr.op == "eq" and _ZERO in (expr.left, expr.right):
@@ -196,7 +198,7 @@ class Emitter:
             return hit
         if expr.op == "mod":
             left = self.value(expr.left)
-            if _mod_by_const(expr):
+            if mod_by_const(expr):
                 k = self.bind(abs(expr.right.value))
                 text = f"{left} % {k} if {left} >= 0 else -(-{left} % {k})"
             else:
@@ -232,8 +234,10 @@ class Emitter:
 
     def _zero_side(self, expr: ScalarExpr) -> str:
         """One side of a comparison with 0: a mod by a constant k stays the
-        floored `a % |k|`, which is 0 exactly when the truncated remainder is."""
-        if _mod_by_const(expr):
+        floored `a % |k|`, which is 0 exactly when the truncated remainder is,
+        unless other code reads the same mod: then its signed temp, computed
+        once, is compared."""
+        if mod_by_const(expr) and expr not in self._shared and expr not in self._memo:
             return f"{self.value(expr.left)} % {self.bind(abs(expr.right.value))}"
         return self.value(expr)
 
@@ -260,7 +264,7 @@ def _operand(text: str) -> str:
     return text if text.isidentifier() else f"({text})"
 
 
-def _mod_by_const(expr: ScalarExpr) -> bool:
+def mod_by_const(expr: ScalarExpr) -> bool:
     """True for a mod node whose divisor is a non-zero constant."""
     return (type(expr) is Arith and expr.op == "mod"
             and type(expr.right) is Const and expr.right.value != 0)

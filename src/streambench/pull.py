@@ -1,11 +1,37 @@
 """Pull execution: external iteration through a chain of cursors.
 
-Each stage is a cursor with advance()/get().  The terminal drives the last
-cursor, which delegates upstream, so moving one element through k stages costs
-a cascade of boundary crossings.  Every advance or get a cursor receives
-increments that stage's control_dispatches — for a stage that emits k elements
-that is k+1 advances plus k gets, i.e. 2k+1 crossings, the number this
-strategy exists to make visible.
+Each stage is a cursor: a pair of advance()/get() closures over its
+upstream's pair and its lambda, so an element crossing a stage reads no
+attribute.  The terminal drives the last cursor, which delegates upstream, so
+moving one element through k stages costs a cascade of boundary crossings: a
+stage that emits k elements receives k+1 advances plus k gets, i.e. 2k+1
+crossings, the number this strategy exists to make visible.
+
+Those counts are laws of element flow, so pull keeps them off the
+per-element path.  It counts only where the flow starts or changes: a source
+has emitted as many elements as its index has moved past, and counts its
+failed advances; a filter counts its passes and its failed advances; a
+flat-map counts its failed advances and emits what its inner chain emits.
+Everything else follows from who calls whom.  A cursor has one caller, so a
+map advances as often as its upstream, and a cursor's gets are fixed by its
+caller: a filter or a flat-map gets each element its upstream emits once,
+and a map (or a flat-map, of its inner chain) passes on the gets that found
+an element.  A map applies once per such get, a filter once per element its
+upstream emits.  The gets an outside driver makes on open_chain's chain are
+counted as they happen; run_pull gets once per element it advances to.
+Every slot follows flows derived from that state when counters are read
+(counters.py).  After a lambda raises mid-run the derived counts may be
+below the calls made; the engines discard a failed run's counters.
+
+A map keeps no state, and a flat-map's get passes straight to its inner
+chain: each is live exactly when what it reads from is, so a get before
+advance raises where the element would have come from.
+
+A flat-map builds its inner chain once.  For each outer element it resets the
+inner source and rebinds the inner lambdas, which is the capture event the
+call-site counters record; the first outer element binds through the cache,
+which links and checks each inner site, and later ones count the
+instantiation and call the site's template directly.
 
 Opening a chain does no element work: nothing advances, no lambda applies,
 until the terminal starts pulling.
@@ -13,11 +39,15 @@ until the terminal starts pulling.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 from .counters import CounterSet
 from .errors import GetBeforeAdvance
+from .exprs import wrap_i64
 from .lambdas import CallSiteCache
 from .query import (
     Filter,
+    FlatMap,
     Map,
     QueryExpr,
     RefsDataset,
@@ -25,215 +55,272 @@ from .query import (
     layout_query,
     resolve_dataset,
 )
-from .exprs import wrap_i64
 
 _NOTHING = object()
 
 
-class _IntsSource:
-    __slots__ = ("_data", "_i", "_hi", "_cur", "_ctr")
+class Cursor(NamedTuple):
+    """A cursor's closures.  Only advance and get run per element; emitted()
+    and advances() read its state when counters are read."""
 
-    def __init__(self, data, ctr):
-        self._data = data
-        self._i = 0
-        self._hi = len(data)
-        self._cur = _NOTHING
-        self._ctr = ctr
+    advance: Callable[[], bool]
+    get: Callable[[], int]
+    emitted: Callable[[], int]
+    advances: Callable[[], int]
+    inner: tuple = ()  # a flat-map's inner cursors, source first
 
-    def advance(self):
-        ctr = self._ctr
-        ctr.stored_dispatches += 1
-        i = self._i
-        if i < self._hi:
-            self._i = i + 1
-            self._cur = self._data[i]
+
+class _Law:
+    """A live count (counters.Flow): `n` sums reads of cursor state."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, *reads):
+        self.reads = reads
+
+    @property
+    def n(self) -> int:
+        return sum(read() for read in self.reads)
+
+
+def _source(dataset):
+    """(cursor, reset) over a dataset; reset() starts it over.  The source
+    has emitted every element its index moved past, `before` the last reset
+    and since."""
+    data = dataset.data
+    hi = len(data)
+    i = before = failed = 0
+    cur = _NOTHING
+
+    def advance():
+        nonlocal i, cur, failed
+        if i < hi:
+            cur = data[i]
+            i += 1
             return True
-        self._cur = _NOTHING
+        cur = _NOTHING
+        failed += 1
         return False
 
-    def get(self):
-        self._ctr.stored_dispatches += 1
-        v = self._cur
-        if v is _NOTHING:
-            raise GetBeforeAdvance("source cursor has no current element")
-        return v
+    if isinstance(dataset, RefsDataset):
+        def get():
+            if cur is _NOTHING:
+                raise GetBeforeAdvance("source cursor has no current element")
+            return cur.value
+    else:
+        def get():
+            if cur is _NOTHING:
+                raise GetBeforeAdvance("source cursor has no current element")
+            return cur
+
+    def reset():
+        nonlocal before, i
+        before += i
+        i = 0
+
+    def emitted():
+        return before + i
+
+    return Cursor(advance, get, emitted, lambda: emitted() + failed), reset
 
 
-class _RefsSource(_IntsSource):
-    __slots__ = ()
+def _map(up):
+    """(cursor, bind): bind(fn) sets the lambda the cursor applies.  The map
+    keeps no state: it advances and emits as its upstream does."""
+    up_advance, up_get = up.advance, up.get
+    fn = None
 
-    def get(self):
-        self._ctr.stored_dispatches += 1
-        r = self._cur
-        if r is _NOTHING:
-            raise GetBeforeAdvance("source cursor has no current element")
-        return r.value
+    def advance():
+        return up_advance()
 
+    def get():
+        return fn(up_get())
 
-class _MapCursor:
-    __slots__ = ("_up", "_fn", "_ctr", "_live")
+    def bind(f):
+        nonlocal fn
+        fn = f
 
-    def __init__(self, up, fn, ctr):
-        self._up = up
-        self._fn = fn
-        self._ctr = ctr
-        self._live = False
-
-    def advance(self):
-        self._ctr.stored_dispatches += 1
-        ok = self._up.advance()
-        self._live = ok
-        return ok
-
-    def get(self):
-        ctr = self._ctr
-        ctr.stored_dispatches += 1
-        if not self._live:
-            raise GetBeforeAdvance("map cursor has no current element")
-        v = self._up.get()
-        ctr.stored_applies += 1
-        return self._fn(v)
+    return Cursor(advance, get, up.emitted, up.advances), bind
 
 
-class _FilterCursor:
-    __slots__ = ("_up", "_pred", "_ctr", "_cur")
+def _filter(up):
+    """(cursor, bind): bind(pred) sets the predicate the cursor tests."""
+    up_advance, up_get = up.advance, up.get
+    pred = None
+    cur = _NOTHING
+    passed = failed = 0
 
-    def __init__(self, up, pred, ctr):
-        self._up = up
-        self._pred = pred
-        self._ctr = ctr
-        self._cur = _NOTHING
-
-    def advance(self):
-        ctr = self._ctr
-        ctr.stored_dispatches += 1
-        up = self._up
-        pred = self._pred
-        while up.advance():
-            v = up.get()
-            ctr.stored_applies += 1
+    def advance():
+        nonlocal cur, passed, failed
+        while up_advance():
+            v = up_get()
             if pred(v):
-                self._cur = v
+                cur = v
+                passed += 1
                 return True
-        self._cur = _NOTHING
+        cur = _NOTHING
+        failed += 1
         return False
 
-    def get(self):
-        self._ctr.stored_dispatches += 1
-        v = self._cur
-        if v is _NOTHING:
+    def get():
+        if cur is _NOTHING:
             raise GetBeforeAdvance("filter cursor has no current element")
-        return v
+        return cur
+
+    def bind(f):
+        nonlocal pred
+        pred = f
+
+    return Cursor(advance, get, lambda: passed, lambda: passed + failed), bind
 
 
-class _FlatMapCursor:
-    """Drains a freshly built inner chain per outer element.
+def _flat_map(up, inner_ds, stages, cache):
+    """A cursor that drains one inner chain per outer element.
 
-    Rebinding the inner lambdas for every outer element is the capture event
-    the call-site counters record; the inner cursors charge their crossings to
-    the inner stage slots.  The first outer element binds through the cache,
-    which links and checks each inner site; later ones count the
-    instantiation and call the site's template directly.
+    The inner chain is built here, once, with its lambdas unbound; each
+    outer element resets its source and binds them (module docstring).  The
+    flat-map emits what the inner chain's last cursor emits.
     """
+    up_advance, up_get = up.advance, up.get
+    cursor, reset = _source(inner_ds)
+    inner = [cursor]
+    sites = []  # per inner stage: (lambda, bind)
+    for stage in stages:
+        cursor, bind = _stage(cursor, stage)
+        inner.append(cursor)
+        sites.append((_lambda(stage), bind))
+    inner_advance, inner_get, inner_emitted = cursor.advance, cursor.get, cursor.emitted
+    rebind = None  # once linked: (counters, template, bind) per capturing site
+    opened = False
+    failed = 0
 
-    __slots__ = ("_up", "_ctr", "_inner_data", "_inner_refs", "_inner_stages",
-                 "_cache", "_src_ctr", "_stage_ctrs", "_linked", "_inner", "_live")
-
-    def __init__(self, up, ctr, inner_ds, inner_stages, cache, src_ctr, stage_ctrs):
-        self._up = up
-        self._ctr = ctr
-        self._inner_refs = isinstance(inner_ds, RefsDataset)
-        self._inner_data = inner_ds.data
-        self._inner_stages = inner_stages
-        self._cache = cache
-        self._src_ctr = src_ctr
-        self._stage_ctrs = stage_ctrs
-        self._linked = []  # per inner stage: (counters, template or instance, cursor class, slot)
-        self._inner = None
-        self._live = False
-
-    def _open_inner(self, outer_v):
-        if self._inner_refs:
-            cursor = _RefsSource(self._inner_data, self._src_ctr)
+    def open_inner(outer_v):
+        nonlocal rebind, opened
+        reset()
+        if rebind is None:
+            for lam, bind in sites:
+                bind(cache.bind(lam, (outer_v,) if lam.captures else ()))
+            rebind = [(*cache.direct(lam), bind) for lam, bind in sites if lam.captures]
         else:
-            cursor = _IntsSource(self._inner_data, self._src_ctr)
-        linked = self._linked
-        if linked:
-            for ctr, make, kind, slot in linked:
-                if ctr is None:
-                    fn = make
-                else:
-                    ctr.instantiations += 1
-                    fn = make(outer_v)
-                cursor = kind(cursor, fn, slot)
-            return cursor
-        cache = self._cache
-        bound = []
-        for stage, slot in zip(self._inner_stages, self._stage_ctrs):
-            lam, kind = ((stage.fn, _MapCursor) if isinstance(stage, Map)
-                         else (stage.predicate, _FilterCursor))
-            fn = cache.bind(lam, (outer_v,) if lam.captures else ())
-            cursor = kind(cursor, fn, slot)
-            bound.append((lam, kind, slot))
-        self._linked = [(*cache.direct(lam), kind, slot) for lam, kind, slot in bound]
-        return cursor
+            for ctr, make, bind in rebind:
+                ctr.instantiations += 1
+                bind(make(outer_v))
+        opened = True
 
-    def advance(self):
-        self._ctr.stored_dispatches += 1
-        inner = self._inner
-        up = self._up
-        while True:
-            if inner is not None and inner.advance():
-                self._live = True
+    def advance():
+        nonlocal opened, failed
+        if opened and inner_advance():
+            return True
+        while up_advance():
+            open_inner(up_get())
+            if inner_advance():
                 return True
-            if not up.advance():
-                self._inner = None
-                self._live = False
-                return False
-            inner = self._open_inner(up.get())
-            self._inner = inner
+        opened = False
+        failed += 1
+        return False
 
-    def get(self):
-        self._ctr.stored_dispatches += 1
-        if not self._live:
-            raise GetBeforeAdvance("flat-map cursor has no current element")
-        return self._inner.get()
+    def get():
+        return inner_get()
+
+    return Cursor(advance, get, inner_emitted, lambda: inner_emitted() + failed,
+                  tuple(inner))
 
 
-def open_chain(query: QueryExpr, datasets, counters: CounterSet,
-               cache: CallSiteCache | None = None):
-    """Build the cursor chain for a query.  Lazy: no element moves yet."""
+def _lambda(stage):
+    return stage.fn if isinstance(stage, Map) else stage.predicate
+
+
+def _stage(up, stage):
+    return (_map if isinstance(stage, Map) else _filter)(up)
+
+
+def _counting(get):
+    """(get, calls, found): a get that counts its calls and those that found
+    an element, for a chain an outside driver pulls."""
+    calls = missed = 0
+
+    def counted():
+        nonlocal calls, missed
+        calls += 1
+        try:
+            return get()
+        except GetBeforeAdvance:
+            missed += 1
+            raise
+
+    return counted, lambda: calls, lambda: calls - missed
+
+
+def _follow(slots, layout, ids, cursors, stages, received, found):
+    """Make each slot follow its cursor's counts, from the last to the first.
+
+    `ids` and `cursors` hold the source first, then one per stage;
+    `received` reads the gets the last cursor receives and `found` those
+    that found an element.  Each cursor's gets are fixed by the one after it.
+    """
+    for k in range(len(cursors) - 1, -1, -1):
+        cursor, slot = cursors[k], slots[ids[k]]
+        stage = stages[k - 1] if k else None
+        dispatches = _Law(cursor.advances, received)
+        if isinstance(stage, Map):
+            slot.follow(dispatches, _Law(found))
+        elif isinstance(stage, Filter):
+            slot.follow(dispatches, _Law(cursors[k - 1].emitted))
+        else:
+            slot.follow(dispatches)
+        if isinstance(stage, FlatMap):
+            # the gets it answers with an element are its inner chain's gets
+            _follow(slots, layout, (layout.inner_source_slot, *layout.inner_slots),
+                    cursor.inner, stage.stages, found, found)
+        if k and not isinstance(stage, Map):
+            # a filter or a flat-map gets each element its upstream emits once
+            found = cursors[k - 1].emitted
+        received = found
+
+
+def _open(query: QueryExpr, datasets, counters: CounterSet, cache, counted: bool):
+    """The query's last cursor; every slot follows the chain.
+
+    With counted=True its get counts the calls an outside driver makes.
+    Without, the caller gets each element it advances to exactly once, as
+    run_pull does, and the last cursor's gets are what it emitted.
+    """
     layout = layout_query(query)
     counters.ensure_stages(layout.labels)
     if cache is None:
         cache = CallSiteCache(counters)
-    source_ds = resolve_dataset(datasets, query.source)
-    stages = counters.stages
-    if isinstance(source_ds, RefsDataset):
-        cursor = _RefsSource(source_ds.data, stages[0])
-    else:
-        cursor = _IntsSource(source_ds.data, stages[0])
-    for pos, stage in enumerate(query.stages):
-        ctr = stages[layout.top_slots[pos]]
-        if isinstance(stage, Map):
-            cursor = _MapCursor(cursor, cache.bind(stage.fn), ctr)
-        elif isinstance(stage, Filter):
-            cursor = _FilterCursor(cursor, cache.bind(stage.predicate), ctr)
+    cursor = _source(resolve_dataset(datasets, query.source))[0]
+    cursors = [cursor]
+    for stage in query.stages:
+        if isinstance(stage, FlatMap):
+            cursor = _flat_map(cursor, resolve_dataset(datasets, stage.inner_source),
+                               stage.stages, cache)
         else:
-            inner_ds = resolve_dataset(datasets, stage.inner_source)
-            stage_ctrs = [stages[s] for s in layout.inner_slots]
-            cursor = _FlatMapCursor(cursor, ctr, inner_ds, stage.stages, cache,
-                                    stages[layout.inner_source_slot], stage_ctrs)
+            cursor, bind = _stage(cursor, stage)
+            bind(cache.bind(_lambda(stage)))
+        cursors.append(cursor)
+    received = found = cursor.emitted
+    if counted:
+        get, received, found = _counting(cursor.get)
+        cursor = cursor._replace(get=get)
+    _follow(counters.stages, layout, (0, *layout.top_slots), cursors, query.stages,
+            received, found)
     return cursor
+
+
+def open_chain(query: QueryExpr, datasets, counters: CounterSet,
+               cache: CallSiteCache | None = None) -> Cursor:
+    """Build the cursor chain for a query and return its last cursor.
+    Lazy: no element moves yet."""
+    return _open(query, datasets, counters, cache, counted=True)
 
 
 def run_pull(query: QueryExpr, datasets, counters: CounterSet | None = None) -> int:
     """Drive a pull chain to exhaustion and fold the terminal."""
     if counters is None:
         counters = CounterSet()
-    chain = open_chain(query, datasets, counters)
-    advance = chain.advance
-    get = chain.get
+    chain = _open(query, datasets, counters, None, counted=False)
+    advance, get = chain.advance, chain.get
     if query.terminal is Terminal.SUM:
         acc = 0
         while advance():

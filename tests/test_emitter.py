@@ -224,6 +224,36 @@ class TestGeneratedText:
         assert run.source.count("x0 * x0") == 1
         assert run(0, 8) == oracle_run(q, ds)
 
+    def test_product_over_a_mod_by_a_constant_is_hoisted(self):
+        # a mod by a non-zero constant cannot raise, so c0 * c0 over the
+        # outer x mod 7 is computed once per outer element
+        fm = FlatMap("inner", (Map(make_lambda(Arith("mul", X, Arith("mul", C, C)),
+                                               captures=1)),))
+        q = build_query("src", [Map(make_lambda(Arith("mod", X, Const(7)))), fm],
+                        Terminal.SUM)
+        ds = {"src": ints_dataset([I64_MIN, -9, 0, 13, I64_MAX]),
+              "inner": ints_dataset([1, -2, I64_MAX])}
+        outer, inner = compile_plan(optimize(q), ds).source.split("for x1")
+        assert "t0 * t0" in outer
+        assert inner.count("*") == 1
+        check_slices(q, [I64_MIN, -9, 0, 13, I64_MAX], ints_dataset, ds["inner"])
+
+    def test_count_evaluates_no_mod_by_a_constant(self):
+        q = build_query("src", [Map(make_lambda(Arith("mod", X, Const(7))))],
+                        Terminal.COUNT)
+        assert "%" not in compile_plan(optimize(q), {"src": ints_dataset([1])}).source
+
+    @pytest.mark.parametrize("make", [ints_dataset, refs_dataset])
+    @pytest.mark.parametrize("k", [3, -3, I64_MIN])
+    def test_shared_mod_is_computed_once(self, make, k):
+        rem = Arith("mod", X, Const(k))
+        q = build_query("src", [Filter(make_lambda(Cmp("eq", rem, Const(0)))),
+                                Map(make_lambda(Arith("add", rem, X)))], Terminal.SUM)
+        source = compile_plan(optimize(q), {"src": make([1])}).source
+        assert sum("%" in line for line in source.splitlines()) == 1
+        check_slices(q, [I64_MIN, I64_MIN + 1, -6, -4, -3, 0, 3, 5, I64_MAX - 1,
+                         I64_MAX], make)
+
     def test_refs_inner_source_pays_its_pointer_chase(self):
         q = build_query("src", [FlatMap("inner", ())], Terminal.SUM)
         ds = {"src": ints_dataset([1, 2]), "inner": refs_dataset([10, 20])}
