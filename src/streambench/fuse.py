@@ -25,7 +25,6 @@ x0 names the outer loop variable (Param 0), x1 the inner one (Param 1); the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .counters import CounterSet
 from .errors import InvalidPipeline
@@ -46,7 +45,6 @@ from .query import (
     FlatMap,
     Map,
     QueryExpr,
-    RefsDataset,
     Terminal,
     resolve_dataset,
 )
@@ -201,7 +199,6 @@ def render_plan(plan: FusedPlan) -> str:
 # ---------------------------------------------------------------------------
 
 _IDENTITY = Param(0)
-_get_value = attrgetter("value")
 
 
 def compile_plan(plan: FusedPlan, datasets):
@@ -210,29 +207,25 @@ def compile_plan(plan: FusedPlan, datasets):
     run(lo, hi) folds the outer source's [lo, hi) and returns the partial
     result: loops, guards, the forced outer element and the accumulator are
     all inline, and `run.source` holds the generated text.  The fold adds
-    the body unwrapped and wraps once at the end.  A refs source is walked
-    as `for r in rows: x0 = r.value`, over the list itself when [lo, hi)
-    covers all of it, so a sequential run copies no pointers; an ints source
-    is sliced, a memcpy.  A refs inner source is walked the same way; an ints
-    inner source is boxed into a list once per run.  A subtree of the inner
-    loop that reads no x1 and cannot raise is computed before it, once per
-    outer element; one that can raise stays, since an empty or fully
-    filtered inner source must not raise.  Under a count terminal the body
-    is evaluated only when it can raise.  A guard-free identity plan keeps
-    the builtin sum.
+    the body unwrapped and wraps once at the end.  Each dataset writes its
+    own loop header (query.py).  A subtree of the inner loop that reads no
+    x1 and cannot raise is computed before it, once per outer element; one
+    that can raise stays, since an empty or fully filtered inner source must
+    not raise.  Under a count terminal the body is evaluated only when it
+    can raise.  A single guard-free loop needs no loop at all for a count
+    whose body cannot raise, nor for an identity sum over rows that are the
+    values: that one keeps the builtin sum.
     """
     outer_ds = resolve_dataset(datasets, plan.outer.source)
     is_sum = plan.terminal is Terminal.SUM
-    is_refs = isinstance(outer_ds, RefsDataset)
     em = Emitter(("x0",))
-    data = em.bind(outer_ds.data)
-    rows = f"{data}[lo:hi]"
-    if plan.inner is None and not plan.outer.guards and plan.body == _IDENTITY:
-        if is_refs:
-            rows = f"map({em.bind(_get_value)}, {rows})"
+    target, rows, reads = outer_ds.fused_loop(em.bind, "x0", False)
+    if plan.inner is None and not plan.outer.guards and (
+            plan.body == _IDENTITY and not reads if is_sum
+            else not _may_raise(plan.body)):
         # a count is the length of [lo, hi) clipped as a slice clips it
         em.line(f"return wrap_i64(sum({rows}))" if is_sum
-                else f"return len(range(len({data}))[lo:hi])")
+                else f"return len(range({em.bind(len(outer_ds))})[lo:hi])")
         return _instance(em)
     body = plan.body if is_sum or _may_raise(plan.body) else None
     # maps folded into the outer element still fail per element, even when
@@ -244,9 +237,7 @@ def compile_plan(plan: FusedPlan, datasets):
             forced = plan.outer_element
     em.expect(*plan.outer.guards, forced, *inner_guards, body)
     em.line("acc = 0")
-    if is_refs:
-        rows = f"({data} if lo == 0 and hi >= len({data}) else {rows})"
-    _loop(em, "x0", rows, is_refs)
+    _loop(em, target, rows, reads)
     for guard in plan.outer.guards:
         em.line(f"if not {em.value(guard)}: continue")
     if plan.inner is not None:
@@ -256,10 +247,8 @@ def compile_plan(plan: FusedPlan, datasets):
             for invariant, wrap in _invariants(tree):
                 em.hoist(invariant, wrap)
         inner_ds = resolve_dataset(datasets, plan.inner.source)
-        inner_refs = isinstance(inner_ds, RefsDataset)
         em.params = ("x0", "x1")
-        _loop(em, "x1", em.bind(inner_ds.data if inner_refs else list(inner_ds.data)),
-              inner_refs)
+        _loop(em, *inner_ds.fused_loop(em.bind, "x1", True))
         for guard in inner_guards:
             em.line(f"if not {em.value(guard)}: continue")
     if body is not None:
@@ -270,14 +259,12 @@ def compile_plan(plan: FusedPlan, datasets):
     return _instance(em)
 
 
-def _loop(em: Emitter, var: str, rows: str, is_refs: bool) -> None:
-    """Open `for <var> in <rows>`; a refs row is read through `r.value`."""
-    if is_refs:
-        em.line(f"for r in {rows}:")
-        em.line(f"    {var} = r.value")
-    else:
-        em.line(f"for {var} in {rows}:")
+def _loop(em: Emitter, target: str, rows: str, reads: tuple) -> None:
+    """Open `for <target> in <rows>:` and the reads that set its variable."""
+    em.line(f"for {target} in {rows}:")
     em.depth += 1
+    for read in reads:
+        em.line(read)
 
 
 def _invariants(expr, wrap: bool = False) -> list:

@@ -50,13 +50,21 @@ from .query import (
     FlatMap,
     Map,
     QueryExpr,
-    RefsDataset,
     Terminal,
     layout_query,
     resolve_dataset,
 )
 
-_NOTHING = object()
+
+class _Nothing:
+    """No current element: a filter's value, or a source's position, where
+    reading a row raises."""
+
+    def __index__(self):
+        raise GetBeforeAdvance("source cursor has no current element")
+
+
+_NOTHING = _Nothing()
 
 
 class Cursor(NamedTuple):
@@ -86,32 +94,21 @@ class _Law:
 def _source(dataset):
     """(cursor, reset) over a dataset; reset() starts it over.  The source
     has emitted every element its index moved past, `before` the last reset
-    and since."""
-    data = dataset.data
-    hi = len(data)
+    and since.  Its get is the dataset's read (query.py) of the row at
+    `at[0]`, the source's current position."""
+    hi = len(dataset)
+    at = [_NOTHING]
     i = before = failed = 0
-    cur = _NOTHING
 
     def advance():
-        nonlocal i, cur, failed
+        nonlocal i, failed
         if i < hi:
-            cur = data[i]
+            at[0] = i
             i += 1
             return True
-        cur = _NOTHING
+        at[0] = _NOTHING
         failed += 1
         return False
-
-    if isinstance(dataset, RefsDataset):
-        def get():
-            if cur is _NOTHING:
-                raise GetBeforeAdvance("source cursor has no current element")
-            return cur.value
-    else:
-        def get():
-            if cur is _NOTHING:
-                raise GetBeforeAdvance("source cursor has no current element")
-            return cur
 
     def reset():
         nonlocal before, i
@@ -121,7 +118,8 @@ def _source(dataset):
     def emitted():
         return before + i
 
-    return Cursor(advance, get, emitted, lambda: emitted() + failed), reset
+    return Cursor(advance, dataset.reader(at), emitted,
+                  lambda: emitted() + failed), reset
 
 
 def _map(up):

@@ -34,7 +34,6 @@ from .query import (
     FlatMap,
     Map,
     QueryExpr,
-    RefsDataset,
     Terminal,
     layout_query,
     resolve_dataset,
@@ -44,15 +43,14 @@ DEFAULT_SPLIT_THRESHOLD = 8192
 
 
 class SplitCursor:
-    """A half-open index range [lo, hi) over one dataset."""
+    """A half-open index range [lo, hi) over one dataset, `data`."""
 
-    __slots__ = ("data", "is_refs", "lo", "hi")
+    __slots__ = ("data", "lo", "hi")
 
     def __init__(self, dataset, lo: int = 0, hi: int | None = None):
-        self.is_refs = isinstance(dataset, RefsDataset)
-        self.data = dataset.data
+        self.data = dataset
         self.lo = lo
-        self.hi = len(self.data) if hi is None else hi
+        self.hi = len(dataset) if hi is None else hi
 
     def estimate_size(self) -> int:
         return self.hi - self.lo
@@ -67,11 +65,7 @@ class SplitCursor:
         if size <= threshold:
             return None
         mid = self.lo + size // 2
-        child = SplitCursor.__new__(SplitCursor)
-        child.data = self.data
-        child.is_refs = self.is_refs
-        child.lo = self.lo
-        child.hi = mid
+        child = SplitCursor(self.data, self.lo, mid)
         self.lo = mid
         return child
 
@@ -82,10 +76,7 @@ def try_advance(cursor: SplitCursor, consumer) -> bool:
     if lo >= cursor.hi:
         return False
     cursor.lo = lo + 1
-    if cursor.is_refs:
-        consumer.accept(cursor.data[lo].value)
-    else:
-        consumer.accept(cursor.data[lo])
+    cursor.data.push(consumer.accept, lo, lo + 1)
     return True
 
 
@@ -93,7 +84,7 @@ def for_each_remaining(cursor: SplitCursor, consumer) -> None:
     """Push every remaining element, consuming the cursor.
 
     A chain head is credited with the whole range at once, clipped to the
-    data as the slice is, and the loop calls the stage behind it.
+    data as the slice is, and the dataset's loop calls the stage behind it.
     """
     data = cursor.data
     lo, hi = cursor.lo, cursor.hi
@@ -103,13 +94,7 @@ def for_each_remaining(cursor: SplitCursor, consumer) -> None:
         accept = consumer.down
     else:
         accept = consumer.accept
-    if cursor.is_refs:
-        # a list slice increfs every record; iterate the list when it is all
-        for r in data if lo == 0 and hi >= len(data) else data[lo:hi]:
-            accept(r.value)
-    else:
-        for v in data[lo:hi]:
-            accept(v)
+    data.push(accept, lo, hi)
 
 
 class _Head:
@@ -160,9 +145,8 @@ def _flat_map(down, inner_ds, stages, passed, entered, cache):
     first inner stage; `passed` holds each inner filter's flow (None for a
     map).
     """
-    data = inner_ds.data
-    refs = isinstance(inner_ds, RefsDataset)
-    width = len(data)
+    push = inner_ds.push
+    width = len(inner_ds)
     plan = [(stage.fn if isinstance(stage, Map) else stage.predicate, flow)
             for stage, flow in zip(stages, passed)]
     plan.reverse()  # the accepts are built back to front
@@ -184,12 +168,7 @@ def _flat_map(down, inner_ds, stages, passed, entered, cache):
                 fn = cache.bind(lam, (outer_v,) if lam.captures else ())
                 inner = _map(inner, fn) if flow is None else _filter(inner, fn, flow)
             linked.extend((*cache.direct(lam), flow) for lam, flow in plan)
-        if refs:
-            for r in data:
-                inner(r.value)
-        else:
-            for v in data:
-                inner(v)
+        push(inner, 0, width)
     return accept
 
 

@@ -5,9 +5,26 @@ terminal fold.  The same QueryExpr runs unchanged on every execution strategy,
 which is the whole point — the strategies differ only in who drives iteration
 and how many boundary crossings that costs.
 
-Datasets come in two shapes.  IntsDataset is a contiguous 64-bit array;
-RefsDataset holds records with the value one indirection away, so element
-access genuinely pays a pointer chase.
+Datasets come in two layouts.  IntsDataset is a contiguous 64-bit array,
+which boxes a value on every read.  RefsDataset holds Ref records with the
+value one indirection away: every engine reads it through `r.value`, one
+pointer chase per element visit, and never from a copy of the values.
+
+Every engine reads rows through this row-read protocol, and none asks which
+layout it holds.  Nothing in it calls anything per element but `accept`.
+
+  len(ds), ds.values()     the row count; the plain value list
+  ds.push(accept, lo, hi)  accept(value) per row of [lo, hi), clipped as a
+                           slice clips; no copy when that is every row
+  ds.reader(at)            pull's element read: get() -> the value of row
+                           at[0], where pull's position for "no element"
+                           raises GetBeforeAdvance when used as an index
+  ds.fused_loop(bind, var, inner)
+                           a fused loop over [lo, hi) of the rows, or over
+                           all of them once per outer element for an inner
+                           loop, as (target, iterable, reads): the emitter
+                           writes `for <target> in <iterable>:`, then the
+                           reads, which set `var`; bind(v) names a value
 """
 
 from __future__ import annotations
@@ -49,6 +66,24 @@ class IntsDataset:
     def __len__(self) -> int:
         return len(self.data)
 
+    def push(self, accept, lo: int, hi: int) -> None:
+        data = self.data
+        # a flat-map walks its inner rows per outer element: copy none
+        for v in data if lo == 0 and hi >= len(data) else data[lo:hi]:
+            accept(v)
+
+    def reader(self, at):
+        data = self.data
+        return lambda: data[at[0]]
+
+    def fused_loop(self, bind, var: str, inner: bool):
+        if inner:  # walked once per outer element: box it once per run
+            return var, bind(list(self.data)), ()
+        return var, f"{bind(self.data)}[lo:hi]", ()  # a slice is a memcpy
+
+    def values(self) -> list[int]:
+        return list(self.data)
+
 
 class RefsDataset:
     """An array of Ref records; one indirection per element access."""
@@ -60,6 +95,27 @@ class RefsDataset:
 
     def __len__(self) -> int:
         return len(self.data)
+
+    def push(self, accept, lo: int, hi: int) -> None:
+        data = self.data
+        # a list slice increfs every record: walk the list when it is all
+        for r in data if lo == 0 and hi >= len(data) else data[lo:hi]:
+            accept(r.value)
+
+    def reader(self, at):
+        data = self.data
+        return lambda: data[at[0]].value
+
+    def fused_loop(self, bind, var: str, inner: bool):
+        rows = bind(self.data)
+        if not inner:
+            # the list itself when [lo, hi) covers it: a sequential run
+            # copies no pointers, parallel leaves still slice
+            rows = f"({rows} if lo == 0 and hi >= len({rows}) else {rows}[lo:hi])"
+        return "r", rows, (f"{var} = r.value",)
+
+    def values(self) -> list[int]:
+        return [r.value for r in self.data]
 
 
 Dataset = IntsDataset | RefsDataset
@@ -82,9 +138,7 @@ def resolve_dataset(datasets, name: str) -> Dataset:
 
 def dataset_values(ds: Dataset) -> list[int]:
     """Plain value list, indirections resolved."""
-    if isinstance(ds, RefsDataset):
-        return [r.value for r in ds.data]
-    return list(ds.data)
+    return ds.values()
 
 
 # ---------------------------------------------------------------------------

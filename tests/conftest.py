@@ -102,19 +102,27 @@ def outcome(fn):
         return ("err", type(exc))
 
 
-def engine_outcomes(query, datasets, workers: int = 3, split_threshold: int = 7):
+def engine_outcomes(query, datasets, workers: int = 3, split_threshold: int = 7,
+                    counters: dict | None = None):
     """Run every strategy plus the oracle; parallel uses a tiny leaf size so
-    even 64-element sources actually split."""
+    even 64-element sources actually split.  `counters`, when given, receives
+    each engine's CounterSet under the engine's name."""
     config = ParallelConfig(workers=workers, split_threshold=split_threshold)
+    if counters is None:
+        counters = {}
+    for name in ("pull", "push", "fused", "push-par", "fused-par"):
+        counters[name] = CounterSet()
     results = {
         "oracle": outcome(lambda: oracle_run(query, datasets)),
-        "pull": outcome(lambda: run_pull(query, datasets, CounterSet())),
-        "push": outcome(lambda: run_push(query, datasets, CounterSet())),
-        "fused": outcome(lambda: exec_fused(optimize(query), datasets)),
+        "pull": outcome(lambda: run_pull(query, datasets, counters["pull"])),
+        "push": outcome(lambda: run_push(query, datasets, counters["push"])),
+        "fused": outcome(
+            lambda: exec_fused(optimize(query), datasets, counters["fused"])),
         "push-par": outcome(
-            lambda: run_parallel(query, datasets, config, CounterSet())),
+            lambda: run_parallel(query, datasets, config, counters["push-par"])),
         "fused-par": outcome(
-            lambda: run_parallel(optimize(query), datasets, config, CounterSet())),
+            lambda: run_parallel(optimize(query), datasets, config,
+                                 counters["fused-par"])),
     }
     return results
 

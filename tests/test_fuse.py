@@ -263,6 +263,19 @@ class TestExecFused:
         assert "*" not in run.source
         assert run(0, 5) == 5
 
+    @pytest.mark.parametrize("make", [ints_dataset, refs_dataset])
+    def test_count_needs_no_loop(self, make):
+        # one guard-free loop whose count body cannot raise is a length
+        mod7 = make_lambda(Arith("mod", Param(0), Const(7)))
+        q = build_query("src", [Map(mod7)], Terminal.COUNT)
+        plan = optimize(q)
+        values = [3, -1, 4, 1, -5, 9, 2, 6]
+        assert "for" not in compile_plan(plan, {"src": make(values)}).source
+        n = len(values)
+        for lo, hi in ((0, n), (0, n + 5), (0, 3), (2, 5), (5, 5)):
+            want = oracle_run(q, {"src": make(values[lo:hi])})
+            assert exec_fused(plan, {"src": make(values)}, lo=lo, hi=hi) == want
+
     def test_run_fused_wrapper(self):
         q = build_query("src", [Filter(make_lambda(EVEN))], Terminal.COUNT)
         assert run_fused(q, {"src": ints_dataset(range(10))}) == 5
