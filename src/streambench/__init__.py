@@ -19,6 +19,7 @@ from .errors import (
     StreamError,
     TooFewSamples,
     UnresolvedDataset,
+    WorkerFailed,
 )
 from .exprs import (
     Arith,

@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=DEFAULT_N,
                         help=f"input size (default: {DEFAULT_N})")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count for parallel engines (default: logical cores)")
+                        help="worker processes for parallel engines (default: logical cores)")
     parser.add_argument("--warmup", type=int, default=10,
                         help="warmup iterations (default: 10)")
     parser.add_argument("--iters", type=int, default=10,

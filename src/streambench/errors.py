@@ -39,3 +39,7 @@ class ResultMismatch(StreamError):
 
 class TooFewSamples(StreamError):
     """A statistic that needs at least two samples was asked for fewer."""
+
+
+class WorkerFailed(StreamError):
+    """A forked parallel worker exited without sending its result."""

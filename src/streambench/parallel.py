@@ -1,39 +1,51 @@
 """Parallel execution by splitting the outer source into leaf ranges.
 
 The outer SplitCursor is split in half recursively until every leaf is at or
-below the split threshold; the leaves land in a shared deque that worker
-threads drain (plain work-sharing, no stealing).  With one worker, or a
-source that forms one leaf, the workers run one after another in the calling
-thread instead; each still builds its own chain, so links and counters are
-the same either way.  Each worker owns a private consumer chain and a
-private CounterSet; a fused plan is compiled once per
-run and its generated function, which holds no state, serves every worker.
+below the split threshold.  Worker w of W takes the contiguous share
+leaves[w*n//W:(w+1)*n//W] and runs it in order with a private consumer chain
+and a private CounterSet; a fused plan is compiled once per run, before any
+worker starts, and its generated function, which holds no state, serves
+every worker.  Each worker builds its chain even when its share is empty, so
+every top-level call site links once per worker whatever the source size.
+
+On a large source the workers are processes: the caller forks W-1 children,
+runs share 0 itself, then reads each child's (partial, counters, error,
+error leaf) from a pipe and reaps it.  A forked child reads the caller's
+datasets in place, copy-on-write, with nothing pickled in, which is why this
+uses fork and not a fresh interpreter.  The same reason limits it to layouts
+whose row reads write no memory (`fork_safe` in query.py): reading a Ref
+record's value increfs it, so a child would copy every page of records and
+the caller would fault on each of them again after the join.  Below
+FORK_MIN_ROWS rows read, with one worker or one leaf, in a process with a
+second live thread (fork copies only the calling thread, and the locks the
+others hold), or where os.fork is missing, the workers run one after
+another in the calling process instead; values, counters and errors are the
+same either way.
+
 There is no shared mutable state until the single join point, where partial
 accumulators combine with a wrapping add and counters merge by addition.
 Wrapping addition is associative and commutative mod 2**64, which is why the
-merged result is bit-identical to the sequential one no matter how leaves
-were scheduled.
+merged result is bit-identical to the sequential one for any worker count.
+A worker stops at its first error, which with contiguous shares is its
+lowest failing leaf, so the lowest over the workers is the error the
+sequential run raises first.
 
 Only Sum and Count terminals run here: they are the folds whose partial
 results merge without ordering concerns.  FlatMap splits only the outer
 source; inner iteration stays inside whichever worker owns the outer element,
 so capture accounting is conserved exactly.
-
-On a CPython with the global interpreter lock, worker threads interleave
-rather than overlap, so this buys determinism checking and counter
-conservation rather than wall-clock speedup; the harness reports whatever the
-hardware gives.
 """
 
 from __future__ import annotations
 
+import gc
 import os
-import threading
-from collections import deque
+import pickle
+import sys
 from dataclasses import dataclass
 
 from .counters import CounterSet
-from .errors import InvalidPipeline
+from .errors import InvalidPipeline, WorkerFailed
 from .exprs import wrap_i64
 from .fuse import FusedPlan, compile_plan
 from .push import (
@@ -42,7 +54,13 @@ from .push import (
     build_chain,
     for_each_remaining,
 )
-from .query import QueryExpr, Terminal, resolve_dataset
+from .query import FlatMap, QueryExpr, Terminal, resolve_dataset
+
+# The sequential cutoff, in rows read: an inner source's rows count once per
+# outer row.  A fork, its pipe and its reaping cost 3-7 ms in a 60-130 MB
+# process; on two cores a fused linear pipeline breaks even at about 2**17
+# rows and wins at 2**18, where push runs in two thirds of its inline time.
+FORK_MIN_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -82,48 +100,88 @@ def split_tasks(cursor: SplitCursor, threshold: int = DEFAULT_SPLIT_THRESHOLD):
     return leaves
 
 
-class _WorkerResult:
-    __slots__ = ("partial", "counters", "error", "error_leaf")
-
-    def __init__(self):
-        self.partial = 0
-        self.counters = CounterSet()
-        self.error = None
-        self.error_leaf = -1
+# A worker's outcome: (partial, counters, error, index of the failing leaf).
 
 
-def _run_leaves_push(query, datasets, tasks, result):
-    chain, sink = build_chain(query, datasets, result.counters)
-    while True:
-        try:
-            idx, leaf = tasks.popleft()
-        except IndexError:
-            break
+def _push_share(query, datasets, share, first):
+    counters = CounterSet()
+    chain, sink = build_chain(query, datasets, counters)
+    for idx, leaf in enumerate(share, first):
         try:
             for_each_remaining(leaf, chain)
-        except Exception as exc:  # first error wins; drop the rest of the queue
-            result.error = exc
-            result.error_leaf = idx
-            tasks.clear()
-            break
-    result.partial = sink.result()
+        except Exception as exc:
+            return 0, counters, exc, idx
+    return sink.result(), counters, None, -1
 
 
-def _run_leaves_fused(run, datasets, tasks, result):
+def _fused_share(run, datasets, share, first):
     acc = 0
-    while True:
-        try:
-            idx, leaf = tasks.popleft()
-        except IndexError:
-            break
+    for idx, leaf in enumerate(share, first):
         try:
             acc += run(leaf.lo, leaf.hi)
         except Exception as exc:
-            result.error = exc
-            result.error_leaf = idx
-            tasks.clear()
-            break
-    result.partial = acc
+            return 0, CounterSet(), exc, idx
+    return acc, CounterSet(), None, -1
+
+
+def _child(wfd, run_share, work, datasets, share, first):
+    """Run one share in a forked child and send its outcome; never returns.
+
+    os._exit leaves without unwinding into the caller's stack, running
+    atexit handlers or flushing stdio buffers the parent still owns.
+    """
+    code = 1
+    try:
+        # a collection would write to the header of every shared object
+        gc.disable()
+        payload = pickle.dumps(run_share(work, datasets, share, first))
+        with open(wfd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_shares(run_share, work, datasets, shares):
+    """Outcomes of every share: share 0 here, each other in a forked child."""
+    children = []
+    try:
+        for w in range(1, len(shares)):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _child(wfd, run_share, work, datasets, *shares[w])
+            os.close(wfd)
+            children.append((w, pid, open(rfd, "rb")))
+        outcomes = [run_share(work, datasets, *shares[0])]
+    finally:
+        ended = []
+        for w, pid, pipe in children:
+            with pipe:
+                payload = pipe.read()
+            ended.append((w, os.waitpid(pid, 0)[1], payload))
+    for w, status, payload in ended:
+        if not payload:
+            raise WorkerFailed(
+                f"parallel worker {w} exited without a result "
+                f"(wait status {status:#x})")
+        outcomes.append(pickle.loads(payload))
+    return outcomes
+
+
+def _may_fork(datasets, reads, workers: int, leaves: int) -> bool:
+    if workers < 2 or leaves < 2:
+        return False
+    read = [resolve_dataset(datasets, name) for name in reads]
+    rows = len(read[0]) * (1 + sum(len(ds) for ds in read[1:]))
+    return (rows >= FORK_MIN_ROWS and hasattr(os, "fork")
+            and len(sys._current_frames()) == 1
+            and all(getattr(ds, "fork_safe", False) for ds in read))
 
 
 def run_parallel(target, datasets, config: ParallelConfig | None = None,
@@ -135,47 +193,43 @@ def run_parallel(target, datasets, config: ParallelConfig | None = None,
         counters = CounterSet()
     if isinstance(target, FusedPlan):
         terminal = target.terminal
-        source = target.outer.source
-        run_leaves = _run_leaves_fused
+        reads = [target.outer.source]
+        if target.inner is not None:
+            reads.append(target.inner.source)
+        run_share = _fused_share
     elif isinstance(target, QueryExpr):
         terminal = target.terminal
-        source = target.source
-        run_leaves = _run_leaves_push
+        reads = [target.source]
+        reads += [s.inner_source for s in target.stages if isinstance(s, FlatMap)]
+        run_share = _push_share
     else:
         raise InvalidPipeline(f"cannot run {target!r} in parallel")
     if terminal not in (Terminal.SUM, Terminal.COUNT):
         raise InvalidPipeline(f"terminal {terminal!r} is not parallelizable")
 
-    source_ds = resolve_dataset(datasets, source)
+    source_ds = resolve_dataset(datasets, reads[0])
     # one generated function serves every leaf and every worker
-    work = compile_plan(target, datasets) if run_leaves is _run_leaves_fused else target
+    work = compile_plan(target, datasets) if run_share is _fused_share else target
     leaves = split_tasks(SplitCursor(source_ds), config.split_threshold)
-    tasks = deque(enumerate(leaves))
     workers = config.resolved_workers()
+    n = len(leaves)
+    shares = [(leaves[w * n // workers:(w + 1) * n // workers], w * n // workers)
+              for w in range(workers)]
 
-    results = [_WorkerResult() for _ in range(workers)]
-    if workers == 1 or len(leaves) <= 1:
-        # nothing to share: the first worker drains the queue
-        for result in results:
-            run_leaves(work, datasets, tasks, result)
+    if _may_fork(datasets, reads, workers, n):
+        outcomes = _fork_shares(run_share, work, datasets, shares)
     else:
-        threads = [
-            threading.Thread(
-                target=run_leaves, args=(work, datasets, tasks, results[w]),
-                name=f"streambench-worker-{w}", daemon=True)
-            for w in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        outcomes = []
+        for share in shares:
+            outcomes.append(run_share(work, datasets, *share))
+            if outcomes[-1][2] is not None:
+                break  # the later shares hold only later leaves
 
-    failed = [r for r in results if r.error is not None]
+    failed = [o for o in outcomes if o[2] is not None]
     if failed:
-        raise min(failed, key=lambda r: r.error_leaf).error
-
+        raise min(failed, key=lambda o: o[3])[2]
     total = 0
-    for r in results:
-        total += r.partial
-        counters.merge(r.counters)
+    for partial, worker_counters, _, _ in outcomes:
+        total += partial
+        counters.merge(worker_counters)
     return wrap_i64(total) if terminal is Terminal.SUM else total

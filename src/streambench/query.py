@@ -25,6 +25,9 @@ layout it holds.  Nothing in it calls anything per element but `accept`.
                            loop, as (target, iterable, reads): the emitter
                            writes `for <target> in <iterable>:`, then the
                            reads, which set `var`; bind(v) names a value
+  ds.fork_safe             True when reading rows writes no memory, so a
+                           forked parallel worker leaves the pages it reads
+                           shared; a layout without it never forks
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ class IntsDataset:
     """A contiguous array of signed 64-bit values."""
 
     __slots__ = ("data",)
+    fork_safe = True  # reads copy values out of one buffer
 
     def __init__(self, values):
         self.data = array("q", (wrap_i64(v) for v in values))
@@ -89,6 +93,7 @@ class RefsDataset:
     """An array of Ref records; one indirection per element access."""
 
     __slots__ = ("data",)
+    fork_safe = False  # reading r.value increfs every record
 
     def __init__(self, values):
         self.data = [Ref(wrap_i64(v)) for v in values]

@@ -190,6 +190,9 @@ def oracle_run(query: QueryExpr, datasets) -> int:
     emit = emitted.append
     source_values = dataset_values(resolve_dataset(datasets, query.source))
     stages = query.stages
+    # a flat-map's inner values, read once per run as every engine reads them
+    inner_values = [dataset_values(resolve_dataset(datasets, s.inner_source))
+                    if isinstance(s, FlatMap) else None for s in stages]
 
     def feed(v, pos: int, captures: tuple) -> None:
         while pos < len(stages):
@@ -200,9 +203,7 @@ def oracle_run(query: QueryExpr, datasets) -> int:
                 if not eval_scalar(stage.predicate.body, (v,), captures):
                     return
             else:
-                inner_values = dataset_values(
-                    resolve_dataset(datasets, stage.inner_source))
-                for w in inner_values:
+                for w in inner_values[pos]:
                     u = w
                     keep = True
                     for inner in stage.stages:

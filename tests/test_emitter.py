@@ -264,24 +264,27 @@ class TestGeneratedText:
 
 class TestParallelSingleLeaf:
     def test_runs_inline_and_links_per_worker(self, monkeypatch):
-        started = []
+        forked = []
+        real_fork = parallel.os.fork
 
-        class Recording(parallel.threading.Thread):
-            def start(self):
-                started.append(self.name)
-                super().start()
+        def recording_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        monkeypatch.setattr(parallel.threading, "Thread", Recording)
+        monkeypatch.setattr(parallel.os, "fork", recording_fork)
         sq = make_lambda(Arith("mul", X, X))
         q = build_query("src", [Map(sq)], Terminal.SUM)
-        for n, threads in ((10, 0), (40, 2)):
+        for n, forks in ((10, 0), (40, 0), (parallel.FORK_MIN_ROWS, 1)):
             ds = {"src": ints_dataset(range(n))}
+            want = oracle_run(q, ds)
             counters = CounterSet()
             config = ParallelConfig(workers=2, split_threshold=16)
-            started.clear()
-            assert run_parallel(q, ds, config, counters) == oracle_run(q, ds)
-            assert run_parallel(optimize(q), ds, config) == oracle_run(q, ds)
-            assert len(started) == 2 * threads
+            forked.clear()
+            assert run_parallel(q, ds, config, counters) == want
+            assert run_parallel(optimize(q), ds, config) == want
+            assert len(forked) == 2 * forks
             assert counters.sites[sq.site_id].link_events == 2
             assert counters.stages[1].control_dispatches == n
 

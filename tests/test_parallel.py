@@ -1,13 +1,15 @@
 """Parallel runs: leaf splitting, determinism, counter conservation."""
 
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_pipeline
 from streambench.counters import CounterSet
-from streambench.errors import DivisionByZero, InvalidPipeline
+from streambench.errors import DivisionByZero, InvalidPipeline, WorkerFailed
 from streambench.exprs import Arith, Capture, Cmp, Const, Param
 from streambench import fuse, parallel
 from streambench.fuse import optimize
@@ -210,3 +212,156 @@ class TestErrors:
         ds = {"src": ints_dataset(range(50))}
         cfg = ParallelConfig(workers=8, split_threshold=8192)
         assert run_parallel(q, ds, cfg) == run_push(q, ds)
+
+
+# -- forked workers ----------------------------------------------------------
+
+BIG = parallel.FORK_MIN_ROWS + 4321  # above the cutoff: two workers fork
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Record the pid of every child forked, and check none outlives the test."""
+    pids = []
+    real_fork = parallel.os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(parallel.os, "fork", recording_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        parallel.os.waitpid(-1, parallel.os.WNOHANG)
+
+
+@pytest.fixture
+def no_forks(monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(parallel.os, "fork", refuse)
+
+
+def big_source():
+    rng = random.Random(99)
+    return [rng.randint(-1000, 1000) for _ in range(BIG)]
+
+
+def stage_counts(counters):
+    return [(s.label, s.control_dispatches, s.lambda_applies) for s in counters.stages]
+
+
+class TestFork:
+    @pytest.mark.parametrize("terminal", [Terminal.SUM, Terminal.COUNT])
+    def test_matches_sequential_for_every_worker_count(self, terminal, forks):
+        queries = [(sose_query(terminal), {"src": ints_dataset(big_source())})]
+        fm = FlatMap("inner", (Filter(make_lambda(Cmp("lt", Param(0), Capture(0)),
+                                                  captures=1)),
+                               Map(make_lambda(SCALED, captures=1))))
+        # outer rows below the cutoff: the inner rows, read per outer row, lift it
+        queries.append((build_query("src", [fm], terminal),
+                        {"src": ints_dataset(big_source()[:BIG // 3]),
+                         "inner": ints_dataset([-500, 3, 700])}))
+        for q, ds in queries:
+            seq = CounterSet()
+            want = run_push(q, ds, seq)
+            plan = optimize(q)
+            for workers in (1, 2, 3, 8):
+                forks.clear()
+                cfg = ParallelConfig(workers=workers)
+                counters = CounterSet()
+                assert run_parallel(q, ds, cfg, counters) == want
+                assert stage_counts(counters) == stage_counts(seq)
+                fused_counters = CounterSet()
+                assert run_parallel(plan, ds, cfg, fused_counters) == want
+                assert fused_counters.control_dispatches == 0
+                assert fused_counters.lambda_applies == 0
+                assert len(forks) == 2 * (workers - 1)
+
+    @pytest.mark.parametrize("layout", ["refs", "boxed"])
+    def test_layouts_that_write_on_read_never_fork(self, layout, no_forks):
+        from test_layouts import BoxedDataset
+        make = refs_dataset if layout == "refs" else BoxedDataset
+        q = sose_query()
+        ds = {"src": make(big_source())}
+        want = run_push(q, ds)
+        cfg = ParallelConfig(workers=2)
+        assert run_parallel(q, ds, cfg) == want
+        assert run_parallel(optimize(q), ds, cfg) == want
+        # an ints outer source with a refs inner source reads both
+        fm = FlatMap("inner", (Map(make_lambda(SCALED, captures=1)),))
+        q = build_query("src", [fm], Terminal.SUM)
+        ds = {"src": ints_dataset(big_source()), "inner": make([1, 2])}
+        assert run_parallel(q, ds, cfg) == run_push(q, ds)
+
+    def test_second_live_thread_keeps_the_run_inline(self, no_forks):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            q = sose_query()
+            ds = {"src": ints_dataset(big_source())}
+            assert run_parallel(q, ds, ParallelConfig(workers=2)) == run_push(q, ds)
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+
+    def test_division_error_in_a_child_propagates(self, forks):
+        mod_by_x = make_lambda(Arith("mod", Const(100), Param(0)))
+        q = build_query("src", [Map(mod_by_x)], Terminal.SUM)
+        values = list(range(1, BIG + 1))
+        values[BIG * 3 // 4] = 0  # in the second of two shares
+        ds = {"src": ints_dataset(values)}
+        cfg = ParallelConfig(workers=2)
+        with pytest.raises(DivisionByZero):
+            run_parallel(q, ds, cfg)
+        with pytest.raises(DivisionByZero):
+            run_parallel(optimize(q), ds, cfg)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("zeros", [(1, 2), (0, 2)])
+    def test_lowest_failing_leaf_wins_across_workers(self, zeros, forks, monkeypatch):
+        # tag each error with its leaf's rows, so the winner can be told apart
+        real = parallel.for_each_remaining
+
+        def tagged(leaf, chain):
+            lo, hi = leaf.lo, leaf.hi
+            try:
+                real(leaf, chain)
+            except DivisionByZero:
+                raise DivisionByZero(f"rows [{lo}, {hi})") from None
+
+        monkeypatch.setattr(parallel, "for_each_remaining", tagged)
+        mod_by_x = make_lambda(Arith("mod", Const(100), Param(0)))
+        q = build_query("src", [Map(mod_by_x)], Terminal.SUM)
+        values = list(range(1, BIG + 1))
+        rows = [BIG * (2 * share + 1) // 6 for share in zeros]  # mid-share
+        for row in rows:
+            values[row] = 0
+        ds = {"src": ints_dataset(values)}
+        cfg = ParallelConfig(workers=3, split_threshold=1024)
+        leaf = next(l for l in split_tasks(SplitCursor(ds["src"]), 1024)
+                    if l.lo <= rows[0] < l.hi)
+        with pytest.raises(DivisionByZero, match=fr"rows \[{leaf.lo}, {leaf.hi}\)"):
+            run_parallel(q, ds, cfg)
+        assert len(forks) == 2
+
+    def test_child_exiting_without_a_result_is_named(self, forks, monkeypatch):
+        parent = os.getpid()
+        real = parallel.for_each_remaining
+
+        def dying(leaf, chain):
+            if os.getpid() != parent:
+                os._exit(3)
+            real(leaf, chain)
+
+        monkeypatch.setattr(parallel, "for_each_remaining", dying)
+        q = sose_query()
+        ds = {"src": ints_dataset(big_source())}
+        with pytest.raises(WorkerFailed, match=r"worker 1 .*wait status 0x300"):
+            run_parallel(q, ds, ParallelConfig(workers=2))
+        assert len(forks) == 1
