@@ -100,9 +100,8 @@ def split_tasks(cursor: SplitCursor, threshold: int = DEFAULT_SPLIT_THRESHOLD):
     return leaves
 
 
-# A worker's outcome: (partial, counters, error, index of the failing leaf).
-
-
+# A share runner returns its worker's outcome: (partial, counters, error,
+# index of the failing leaf), stopping at the first error.
 def _push_share(query, datasets, share, first):
     counters = CounterSet()
     chain, sink = build_chain(query, datasets, counters)
