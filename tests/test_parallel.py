@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_pipeline
+from test_layouts import BoxedDataset
 from streambench.counters import CounterSet
 from streambench.errors import DivisionByZero, InvalidPipeline, WorkerFailed
 from streambench.exprs import Arith, Capture, Cmp, Const, Param
@@ -221,9 +222,9 @@ BIG = parallel.FORK_MIN_ROWS + 4321  # above the cutoff: two workers fork
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Record the pid of every child forked, and check none outlives the test."""
+    """The pid of every child forked."""
     pids = []
-    real_fork = parallel.os.fork
+    real_fork = os.fork
 
     def recording_fork():
         pid = real_fork()
@@ -231,10 +232,8 @@ def forks(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(parallel.os, "fork", recording_fork)
-    yield pids
-    with pytest.raises(ChildProcessError):
-        parallel.os.waitpid(-1, parallel.os.WNOHANG)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 @pytest.fixture
@@ -242,7 +241,7 @@ def no_forks(monkeypatch):
     def refuse():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(parallel.os, "fork", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
 
 
 def big_source():
@@ -255,6 +254,12 @@ def stage_counts(counters):
 
 
 class TestFork:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("terminal", [Terminal.SUM, Terminal.COUNT])
     def test_matches_sequential_for_every_worker_count(self, terminal, forks):
         queries = [(sose_query(terminal), {"src": ints_dataset(big_source())})]
@@ -283,7 +288,6 @@ class TestFork:
 
     @pytest.mark.parametrize("layout", ["refs", "boxed"])
     def test_layouts_that_write_on_read_never_fork(self, layout, no_forks):
-        from test_layouts import BoxedDataset
         make = refs_dataset if layout == "refs" else BoxedDataset
         q = sose_query()
         ds = {"src": make(big_source())}
