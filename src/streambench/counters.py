@@ -6,16 +6,13 @@ per-call-site closure linkage and instantiation events.  Counters only ever
 increase during a run, and two CounterSets merge by plain addition so that
 parallel workers can accumulate privately and combine at the join point.
 
-A stage's counts come from two places.  Its stored ints hold what earlier
-runs and merges left and what assignments write.  A stage may also follow
-live flows, any object with an int `n` that an engine keeps current; both
-engines count only where the element flow starts or changes and derive the
-rest.  Push counts the chain's head, each filter's passes and a flat-map's
-inner source, and lets every map, filter and flat-map slot follow the flow
-that enters it.  Pull's slots follow flows whose `n` is computed from cursor
-state when it is read (pull.py).  Reading `control_dispatches` or
-`lambda_applies` adds the stored and the live parts, so `repr`, `merge` and
-pickling see the totals.
+An engine counts only where the element flow starts or changes and derives
+every other per-stage count.  Each chain it opens hands its CounterSet one
+derivation, a callable giving every slot's (dispatches, applies) so far, and
+reading `stages` folds in what the derivation gained since the last read.
+Stage counts are plain ints otherwise: assignment, `+=`, `merge`, `repr` and
+pickling see them as they are.  Attaching a new chain folds in the old one
+first, so a CounterSet reused across runs adds them up.
 
 After a run raises mid-way the counts may differ from the calls made: push's
 may exceed what entered a stage (it counts an element range or an inner
@@ -26,71 +23,19 @@ engines discard a failed run's result and counters.
 from __future__ import annotations
 
 
-class Flow:
-    """A live element count, kept in `n` by whatever owns it."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int = 0):
-        self.n = n
-
-
-NO_FLOW = Flow()  # never counted into
-
-
 class StageCounters:
-    """Dispatch and apply counts for one pipeline stage.
+    """Dispatch and apply counts for one pipeline stage."""
 
-    `stored_dispatches` and `stored_applies` are plain slots; the public
-    totals add the live flows the stage follows.
-    """
-
-    __slots__ = ("label", "stored_dispatches", "stored_applies",
-                 "_live_dispatches", "_live_applies")
+    __slots__ = ("label", "control_dispatches", "lambda_applies")
 
     def __init__(self, label: str, control_dispatches: int = 0, lambda_applies: int = 0):
         self.label = label
-        self.stored_dispatches = control_dispatches
-        self.stored_applies = lambda_applies
-        self._live_dispatches = self._live_applies = NO_FLOW
-
-    @property
-    def control_dispatches(self) -> int:
-        return self.stored_dispatches + self._live_dispatches.n
-
-    @control_dispatches.setter
-    def control_dispatches(self, value: int) -> None:
-        self.stored_dispatches = value - self._live_dispatches.n
-
-    @property
-    def lambda_applies(self) -> int:
-        return self.stored_applies + self._live_applies.n
-
-    @lambda_applies.setter
-    def lambda_applies(self, value: int) -> None:
-        self.stored_applies = value - self._live_applies.n
-
-    def follow(self, dispatches: Flow = NO_FLOW, applies: Flow = NO_FLOW) -> None:
-        """Count live flows from now on, keeping what has been counted so far.
-
-        The flows followed before are read once and stored, so a CounterSet
-        reused across runs adds them up; it follows the chain built last.
-        """
-        self.stored_dispatches = self.control_dispatches
-        self.stored_applies = self.lambda_applies
-        self._live_dispatches = dispatches
-        self._live_applies = applies
+        self.control_dispatches = control_dispatches
+        self.lambda_applies = lambda_applies
 
     def __repr__(self) -> str:
         return (f"StageCounters({self.label!r}, dispatches={self.control_dispatches}, "
                 f"applies={self.lambda_applies})")
-
-    def __getstate__(self):
-        return (self.label, self.control_dispatches, self.lambda_applies)
-
-    def __setstate__(self, state):
-        self.label, self.stored_dispatches, self.stored_applies = state
-        self._live_dispatches = self._live_applies = NO_FLOW
 
 
 class SiteCounters:
@@ -121,22 +66,43 @@ class CounterSet:
     `sites` maps a lambda's call-site id to its closure counters.
     """
 
-    __slots__ = ("stages", "sites")
+    __slots__ = ("_stages", "sites", "_live", "_seen")
 
     def __init__(self, labels: tuple[str, ...] = ()):
-        self.stages = [StageCounters(label) for label in labels]
+        self._stages = [StageCounters(label) for label in labels]
         self.sites: dict[int, SiteCounters] = {}
+        self._live = None  # the attached chain's derivation
+        self._seen = ()  # what it gave at the last read
 
     # -- layout ------------------------------------------------------------
 
     @property
+    def stages(self) -> list[StageCounters]:
+        """Per-slot counters, with the attached chain's counts folded in."""
+        if self._live is not None:
+            now = self._live()
+            for stage, (d, a), (d0, a0) in zip(self._stages, now, self._seen):
+                stage.control_dispatches += d - d0
+                stage.lambda_applies += a - a0
+            self._seen = now
+        return self._stages
+
+    def attach(self, live) -> None:
+        """Count a newly opened chain: `live()` gives each slot's
+        (dispatches, applies) since it opened.  The chain attached before is
+        folded in and let go."""
+        self.stages  # folds in the chain attached before
+        self._live = live
+        self._seen = [(0, 0)] * len(self._stages)
+
+    @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.stages)
+        return tuple(s.label for s in self._stages)
 
     def ensure_stages(self, labels: tuple[str, ...]) -> None:
         """Adopt a stage layout, or verify the existing one matches."""
-        if not self.stages:
-            self.stages = [StageCounters(label) for label in labels]
+        if not self._stages:
+            self._stages = [StageCounters(label) for label in labels]
         elif self.labels != tuple(labels):
             raise ValueError(f"stage layout mismatch: {self.labels} vs {tuple(labels)}")
 
@@ -168,13 +134,12 @@ class CounterSet:
 
     def merge(self, other: "CounterSet") -> None:
         """Add another CounterSet into this one (parallel join point)."""
-        if not self.stages and other.stages:
-            self.stages = [StageCounters(s.label) for s in other.stages]
-        if other.stages and self.labels != other.labels:
-            raise ValueError("cannot merge counters with different stage layouts")
-        for mine, theirs in zip(self.stages, other.stages):
-            mine.stored_dispatches += theirs.control_dispatches
-            mine.stored_applies += theirs.lambda_applies
+        stages = other.stages
+        if stages:
+            self.ensure_stages(other.labels)
+        for mine, theirs in zip(self.stages, stages):
+            mine.control_dispatches += theirs.control_dispatches
+            mine.lambda_applies += theirs.lambda_applies
         for site_id, theirs in other.sites.items():
             mine = self.site(site_id)
             mine.link_events += theirs.link_events
@@ -182,3 +147,12 @@ class CounterSet:
 
     def __repr__(self) -> str:
         return f"CounterSet(stages={self.stages!r}, sites={self.sites!r})"
+
+    def __getstate__(self):
+        # the totals so far; the derivation reads a chain in this process
+        return self.stages, self.sites
+
+    def __setstate__(self, state):
+        self._stages, self.sites = state
+        self._live = None
+        self._seen = ()

@@ -9,25 +9,25 @@ every worker.  Each worker builds its chain even when its share is empty, so
 every top-level call site links once per worker whatever the source size.
 
 On a large source the workers are processes: the caller forks W-1 children,
-runs share 0 itself, then reads each child's (partial, counters, error,
-error leaf) from a pipe and reaps it.  A forked child reads the caller's
-datasets in place, copy-on-write, with nothing pickled in, which is why this
-uses fork and not a fresh interpreter.  The same reason limits it to layouts
-whose row reads write no memory (`fork_safe` in query.py): reading a Ref
-record's value increfs it, so a child would copy every page of records and
-the caller would fault on each of them again after the join.  Below
-FORK_MIN_ROWS rows read, with one worker or one leaf, in a process with a
-second live thread (fork copies only the calling thread, and the locks the
-others hold), or where os.fork is missing, the workers run one after
-another in the calling process instead; values, counters and errors are the
-same either way.
+runs share 0 itself, then reads each child's (partial, counters, error) from
+a pipe and reaps it; from Python 3.11 a child's error carries the child's
+traceback as a note.  A forked child reads the caller's datasets in place,
+copy-on-write, with nothing pickled in, which is why this uses fork and not
+a fresh interpreter.  The same reason limits it to layouts whose row reads
+write no memory (`fork_safe` in query.py): reading a Ref record's value
+increfs it, so a child would copy every page of records and the caller
+would fault on each of them again after the join.  Below FORK_MIN_ROWS rows
+read, with one worker or one leaf, in a process with a second live thread
+(fork copies only the calling thread, and the locks the others hold), or
+where os.fork is missing, the workers run one after another in the calling
+process instead; values, counters and errors are the same either way.
 
 There is no shared mutable state until the single join point, where partial
 accumulators combine with a wrapping add and counters merge by addition.
 Wrapping addition is associative and commutative mod 2**64, which is why the
 merged result is bit-identical to the sequential one for any worker count.
 A worker stops at its first error, which with contiguous shares is its
-lowest failing leaf, so the lowest over the workers is the error the
+lowest failing leaf, so the first failed worker's error is the one the
 sequential run raises first.
 
 Only Sum and Count terminals run here: they are the folds whose partial
@@ -42,6 +42,7 @@ import gc
 import os
 import pickle
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .counters import CounterSet
@@ -100,30 +101,30 @@ def split_tasks(cursor: SplitCursor, threshold: int = DEFAULT_SPLIT_THRESHOLD):
     return leaves
 
 
-# A share runner returns its worker's outcome: (partial, counters, error,
-# index of the failing leaf), stopping at the first error.
-def _push_share(query, datasets, share, first):
+# A share runner returns its worker's outcome: (partial, counters, error),
+# stopping at the first error.
+def _push_share(query, datasets, share):
     counters = CounterSet()
     chain, sink = build_chain(query, datasets, counters)
-    for idx, leaf in enumerate(share, first):
+    for leaf in share:
         try:
             for_each_remaining(leaf, chain)
         except Exception as exc:
-            return 0, counters, exc, idx
-    return sink.result(), counters, None, -1
+            return 0, counters, exc
+    return sink.result(), counters, None
 
 
-def _fused_share(run, datasets, share, first):
+def _fused_share(run, datasets, share):
     acc = 0
-    for idx, leaf in enumerate(share, first):
+    for leaf in share:
         try:
             acc += run(leaf.lo, leaf.hi)
         except Exception as exc:
-            return 0, CounterSet(), exc, idx
-    return acc, CounterSet(), None, -1
+            return 0, CounterSet(), exc
+    return acc, CounterSet(), None
 
 
-def _child(wfd, run_share, work, datasets, share, first):
+def _child(wfd, run_share, work, datasets, share):
     """Run one share in a forked child and send its outcome; never returns.
 
     os._exit leaves without unwinding into the caller's stack, running
@@ -133,7 +134,12 @@ def _child(wfd, run_share, work, datasets, share, first):
     try:
         # a collection would write to the header of every shared object
         gc.disable()
-        payload = pickle.dumps(run_share(work, datasets, share, first))
+        outcome = run_share(work, datasets, share)
+        exc = outcome[2]
+        if exc is not None and hasattr(exc, "add_note"):
+            # pickling drops the traceback; a note carries it to the caller
+            exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+        payload = pickle.dumps(outcome)
         with open(wfd, "wb") as pipe:
             pipe.write(payload)
         code = 0
@@ -154,10 +160,10 @@ def _fork_shares(run_share, work, datasets, shares):
                 os.close(wfd)
                 raise
             if pid == 0:
-                _child(wfd, run_share, work, datasets, *shares[w])
+                _child(wfd, run_share, work, datasets, shares[w])
             os.close(wfd)
             children.append((w, pid, open(rfd, "rb")))
-        outcomes = [run_share(work, datasets, *shares[0])]
+        outcomes = [run_share(work, datasets, shares[0])]
     finally:
         ended = []
         for w, pid, pipe in children:
@@ -212,23 +218,22 @@ def run_parallel(target, datasets, config: ParallelConfig | None = None,
     leaves = split_tasks(SplitCursor(source_ds), config.split_threshold)
     workers = config.resolved_workers()
     n = len(leaves)
-    shares = [(leaves[w * n // workers:(w + 1) * n // workers], w * n // workers)
-              for w in range(workers)]
+    shares = [leaves[w * n // workers:(w + 1) * n // workers] for w in range(workers)]
 
     if _may_fork(datasets, reads, workers, n):
         outcomes = _fork_shares(run_share, work, datasets, shares)
     else:
         outcomes = []
         for share in shares:
-            outcomes.append(run_share(work, datasets, *share))
+            outcomes.append(run_share(work, datasets, share))
             if outcomes[-1][2] is not None:
                 break  # the later shares hold only later leaves
 
-    failed = [o for o in outcomes if o[2] is not None]
-    if failed:
-        raise min(failed, key=lambda o: o[3])[2]
+    for _, _, error in outcomes:
+        if error is not None:
+            raise error  # the first failed worker holds the lowest failing leaf
     total = 0
-    for partial, worker_counters, _, _ in outcomes:
+    for partial, worker_counters, _ in outcomes:
         total += partial
         counters.merge(worker_counters)
     return wrap_i64(total) if terminal is Terminal.SUM else total

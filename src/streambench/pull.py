@@ -19,9 +19,10 @@ and a map (or a flat-map, of its inner chain) passes on the gets that found
 an element.  A map applies once per such get, a filter once per element its
 upstream emits.  The gets an outside driver makes on open_chain's chain are
 counted as they happen; run_pull gets once per element it advances to.
-Every slot follows flows derived from that state when counters are read
-(counters.py).  After a lambda raises mid-run the derived counts may be
-below the calls made; the engines discard a failed run's counters.
+Each chain hands its CounterSet one derivation that fills every slot from
+that state; counts fold in when they are read (counters.py).  After a lambda
+raises mid-run the derived counts may be below the calls made; the engines
+discard a failed run's counters.
 
 A map keeps no state, and a flat-map's get passes straight to its inner
 chain: each is live exactly when what it reads from is, so a get before
@@ -76,19 +77,6 @@ class Cursor(NamedTuple):
     emitted: Callable[[], int]
     advances: Callable[[], int]
     inner: tuple = ()  # a flat-map's inner cursors, source first
-
-
-class _Law:
-    """A live count (counters.Flow): `n` sums reads of cursor state."""
-
-    __slots__ = ("reads",)
-
-    def __init__(self, *reads):
-        self.reads = reads
-
-    @property
-    def n(self) -> int:
-        return sum(read() for read in self.reads)
 
 
 def _source(dataset):
@@ -249,35 +237,31 @@ def _counting(get):
     return counted, lambda: calls, lambda: calls - missed
 
 
-def _follow(slots, layout, ids, cursors, stages, received, found):
-    """Make each slot follow its cursor's counts, from the last to the first.
+def _fill(counts, layout, ids, cursors, stages, received, found):
+    """Fill each slot's (dispatches, applies), from the last cursor to the first.
 
     `ids` and `cursors` hold the source first, then one per stage;
-    `received` reads the gets the last cursor receives and `found` those
-    that found an element.  Each cursor's gets are fixed by the one after it.
+    `received` is the gets the last cursor receives and `found` those that
+    found an element.  Each cursor's gets are fixed by the one after it.
     """
     for k in range(len(cursors) - 1, -1, -1):
-        cursor, slot = cursors[k], slots[ids[k]]
+        cursor = cursors[k]
         stage = stages[k - 1] if k else None
-        dispatches = _Law(cursor.advances, received)
-        if isinstance(stage, Map):
-            slot.follow(dispatches, _Law(found))
-        elif isinstance(stage, Filter):
-            slot.follow(dispatches, _Law(cursors[k - 1].emitted))
-        else:
-            slot.follow(dispatches)
+        applies = (found if isinstance(stage, Map)
+                   else cursors[k - 1].emitted() if isinstance(stage, Filter) else 0)
+        counts[ids[k]] = (cursor.advances() + received, applies)
         if isinstance(stage, FlatMap):
             # the gets it answers with an element are its inner chain's gets
-            _follow(slots, layout, (layout.inner_source_slot, *layout.inner_slots),
-                    cursor.inner, stage.stages, found, found)
+            _fill(counts, layout, (layout.inner_source_slot, *layout.inner_slots),
+                  cursor.inner, stage.stages, found, found)
         if k and not isinstance(stage, Map):
             # a filter or a flat-map gets each element its upstream emits once
-            found = cursors[k - 1].emitted
+            found = cursors[k - 1].emitted()
         received = found
 
 
 def _open(query: QueryExpr, datasets, counters: CounterSet, cache, counted: bool):
-    """The query's last cursor; every slot follows the chain.
+    """The query's last cursor; the chain's derivation is attached to counters.
 
     With counted=True its get counts the calls an outside driver makes.
     Without, the caller gets each element it advances to exactly once, as
@@ -301,8 +285,14 @@ def _open(query: QueryExpr, datasets, counters: CounterSet, cache, counted: bool
     if counted:
         get, received, found = _counting(cursor.get)
         cursor = cursor._replace(get=get)
-    _follow(counters.stages, layout, (0, *layout.top_slots), cursors, query.stages,
-            received, found)
+
+    def live():
+        counts = [(0, 0)] * len(layout.labels)
+        _fill(counts, layout, (0, *layout.top_slots), cursors, query.stages,
+              received(), found())
+        return counts
+
+    counters.attach(live)
     return cursor
 
 

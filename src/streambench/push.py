@@ -13,11 +13,12 @@ Those counts are laws of element flow, so push keeps them off the per-element
 path.  It counts only where the flow starts or changes: the chain's head (one
 add per range in for_each_remaining, one per call on a direct accept), each
 filter's passes, and a flat-map's inner source (len(inner) per outer element).
-A map emits what enters it and counts nothing.  build_chain makes every map,
-filter and flat-map slot follow the flow entering it (counters.py), so the
-per-stage counts are derived when they are read.  A run that raises mid-way
-may leave counts above what entered, since a range or an inner source is
-counted before it moves; the engines discard a failed run's counters.
+A map emits what enters it and counts nothing.  build_chain notes once the
+count cell of the flow entering each map, filter and flat-map slot, and
+hands the CounterSet one derivation that reads those cells; counts fold in
+when they are read (counters.py).  A run that raises mid-way may leave
+counts above what entered, since a range or an inner source is counted
+before it moves; the engines discard a failed run's counters.
 
 SplitCursor is the indexed view the source iterates: it can split off its
 first half for parallel runs, advance one element at a time, or push
@@ -26,7 +27,7 @@ everything remaining in one tight loop.
 
 from __future__ import annotations
 
-from .counters import CounterSet, Flow
+from .counters import CounterSet
 from .exprs import wrap_i64
 from .lambdas import CallSiteCache
 from .query import (
@@ -95,6 +96,15 @@ def for_each_remaining(cursor: SplitCursor, consumer) -> None:
     else:
         accept = consumer.accept
     data.push(accept, lo, hi)
+
+
+class _Cell:
+    """A flow's count, in `n`: a filter's passes or a flat-map's inner source."""
+
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
 
 
 class _Head:
@@ -206,8 +216,8 @@ def build_chain(query: QueryExpr, datasets, counters: CounterSet,
                 cache: CallSiteCache | None = None):
     """Build (head consumer, sink) for a query, wiring back-to-front.
 
-    Each map, filter and flat-map slot then follows the flow entering it;
-    a chain with no stages is its sink, which nothing counts.
+    The chain's derivation is attached to counters; a chain with no stages
+    is its sink, which nothing counts.
     """
     layout = layout_query(query)
     counters.ensure_stages(layout.labels)
@@ -217,8 +227,8 @@ def build_chain(query: QueryExpr, datasets, counters: CounterSet,
     if not query.stages:
         return sink, sink
     # the flow each filter (its passes) and the flat-map (its inner source) starts
-    top = [None if isinstance(s, Map) else Flow() for s in query.stages]
-    inner = [Flow() if isinstance(s, Filter) else None
+    top = [None if isinstance(s, Map) else _Cell() for s in query.stages]
+    inner = [_Cell() if isinstance(s, Filter) else None
              for fm in query.stages if isinstance(fm, FlatMap) for s in fm.stages]
     accept = sink.accept
     for stage, flow in zip(reversed(query.stages), reversed(top)):
@@ -230,21 +240,29 @@ def build_chain(query: QueryExpr, datasets, counters: CounterSet,
             accept = _flat_map(accept, resolve_dataset(datasets, stage.inner_source),
                                stage.stages, inner, flow, cache)
     head = _Head(accept)
-    slots = counters.stages
+    reads = []  # per slot: (slot, the cell of the flow entering it, counts applies)
 
-    def follow(slot_ids, stages, started, flow):
+    def entering(slot_ids, stages, started, flow):
         # a map passes on the flow entering it; a filter or a flat-map starts one
         for slot, stage, own in zip(slot_ids, stages, started):
             if isinstance(stage, FlatMap):
-                slots[slot].follow(flow)
-                flow = follow(layout.inner_slots, stage.stages, inner, own)
+                reads.append((slot, flow, False))
+                flow = entering(layout.inner_slots, stage.stages, inner, own)
             else:
-                slots[slot].follow(flow, flow)
+                reads.append((slot, flow, True))
                 if own is not None:
                     flow = own
         return flow
 
-    follow(layout.top_slots, query.stages, top, head)
+    entering(layout.top_slots, query.stages, top, head)
+
+    def live():
+        counts = [(0, 0)] * len(layout.labels)
+        for slot, cell, applies in reads:
+            counts[slot] = (cell.n, cell.n if applies else 0)
+        return counts
+
+    counters.attach(live)
     return head, sink
 
 

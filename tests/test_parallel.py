@@ -2,6 +2,7 @@
 
 import os
 import random
+import sys
 import threading
 
 import pytest
@@ -321,11 +322,13 @@ class TestFork:
         values[BIG * 3 // 4] = 0  # in the second of two shares
         ds = {"src": ints_dataset(values)}
         cfg = ParallelConfig(workers=2)
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(DivisionByZero) as raised:
             run_parallel(q, ds, cfg)
         with pytest.raises(DivisionByZero):
             run_parallel(optimize(q), ds, cfg)
         assert len(forks) == 2
+        # the child's traceback rides along as a note
+        assert sys.version_info < (3, 11) or "_push_share" in raised.value.__notes__[0]
 
     @pytest.mark.parametrize("zeros", [(1, 2), (0, 2)])
     def test_lowest_failing_leaf_wins_across_workers(self, zeros, forks, monkeypatch):

@@ -104,6 +104,18 @@ def drained(query, datasets, counters):
     return wrap_i64(sum(out)) if query.terminal is Terminal.SUM else len(out)
 
 
+def stepped(query, datasets, counters):
+    """drained, reading the counters after every advance and get."""
+    chain = open_chain(query, datasets, counters)
+    out = []
+    while chain.advance():
+        stage_counts(counters)
+        out.append(chain.get())
+        stage_counts(counters)
+    stage_counts(counters)
+    return wrap_i64(sum(out)) if query.terminal is Terminal.SUM else len(out)
+
+
 @st.composite
 def pipelines(draw):
     """The conftest grammar, with ints or refs sources and either terminal."""
@@ -126,7 +138,8 @@ class TestFlowLaw:
         except StreamError as exc:
             want, law = type(exc), None
         for engine, run in (("run_pull", lambda c: run_pull(query, datasets, c)),
-                            ("open_chain", lambda c: drained(query, datasets, c))):
+                            ("open_chain", lambda c: drained(query, datasets, c)),
+                            ("stepped", lambda c: stepped(query, datasets, c))):
             counters = CounterSet()
             try:
                 got = run(counters)

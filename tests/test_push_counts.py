@@ -19,7 +19,13 @@ from streambench.errors import StreamError
 from streambench.exprs import Arith, Capture, Cmp, Const, Param, eval_scalar, wrap_i64
 from streambench.lambdas import make_lambda
 from streambench.parallel import ParallelConfig, run_parallel
-from streambench.push import SplitCursor, build_chain, for_each_remaining, run_push
+from streambench.push import (
+    SplitCursor,
+    build_chain,
+    for_each_remaining,
+    run_push,
+    try_advance,
+)
 from streambench.query import (
     Filter,
     FlatMap,
@@ -98,9 +104,20 @@ def pipelines(draw):
     return query, datasets
 
 
+def stepped(query, datasets, counters):
+    """Push one element at a time, reading the counters after each."""
+    head, sink = build_chain(query, datasets, counters)
+    cursor = SplitCursor(resolve_dataset(datasets, query.source))
+    while try_advance(cursor, head):
+        stage_counts(counters)
+    return sink.result()
+
+
 def runs(query, datasets):
-    """(engine, run) for push and for push-par at 1, 2 and 4 workers."""
+    """(engine, run) for push, for push read after every element, and for
+    push-par at 1, 2 and 4 workers."""
     yield "push", lambda c: run_push(query, datasets, c)
+    yield "push/stepped", lambda c: stepped(query, datasets, c)
     for workers in (1, 2, 4):
         config = ParallelConfig(workers=workers, split_threshold=5)
         yield f"push-par/{workers}", lambda c, config=config: run_parallel(
@@ -191,6 +208,7 @@ class TestLiveCounters:
         assert (stage.control_dispatches, stage.lambda_applies) == (3, 4)
         stage.control_dispatches = 0
         head.accept(4)
+        stage = counters.stages[1]
         assert (stage.control_dispatches, stage.lambda_applies) == (1, 5)
 
     @pytest.mark.parametrize("make", [ints_dataset, refs_dataset])
