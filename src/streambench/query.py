@@ -10,6 +10,16 @@ which boxes a value on every read.  RefsDataset holds Ref records with the
 value one indirection away: every engine reads it through `r.value`, one
 pointer chase per element visit, and never from a copy of the values.
 
+Both layouts build their rows in bulk.  One `array("q", ...)` call checks
+every value in C; with each value an int (or bool) it accepts exactly those
+`wrap_i64` leaves unchanged, so the ints layout keeps that array and each Ref
+holds the caller's own int object.  Otherwise the rows are built by the
+`wrap_i64` generator, which gives the wrapped values and the errors of a
+value-by-value build.  The cyclic collector is paused while the Ref records
+are allocated, as it would otherwise walk the young records again and again:
+a Ref holds one int and the list holds only Refs, so the build forms no
+cycle for it to find, and a paused collector only defers a collection.
+
 Every engine reads rows through this row-read protocol, and none asks which
 layout it holds.  Nothing in it calls anything per element but `accept`.
 
@@ -32,6 +42,7 @@ layout it holds.  Nothing in it calls anything per element but `accept`.
 
 from __future__ import annotations
 
+import gc
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -58,6 +69,22 @@ class Ref:
         return f"Ref({self.value})"
 
 
+def _wrapped(values):
+    """(values, their array) when every value is an int already in i64 range,
+    so that wrap_i64 changes none; else (a wrap_i64 generator over them, None),
+    which wraps and raises as a value-by-value build does."""
+    if type(values) not in (list, tuple, range):  # array() reads them by item
+        values = list(values)  # an iterator is read once; bytes are not rows
+    try:
+        rows = array("q", values)
+    except (OverflowError, TypeError):
+        rows = None
+    # array("q") also takes any object with __index__, which wrap_i64 may reject
+    if rows is None or not set(map(type, values)) <= {int, bool}:
+        return map(wrap_i64, values), None
+    return values, rows
+
+
 class IntsDataset:
     """A contiguous array of signed 64-bit values."""
 
@@ -65,7 +92,8 @@ class IntsDataset:
     fork_safe = True  # reads copy values out of one buffer
 
     def __init__(self, values):
-        self.data = array("q", (wrap_i64(v) for v in values))
+        values, rows = _wrapped(values)
+        self.data = rows if rows is not None else array("q", values)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -96,7 +124,14 @@ class RefsDataset:
     fork_safe = False  # reading r.value increfs every record
 
     def __init__(self, values):
-        self.data = [Ref(wrap_i64(v)) for v in values]
+        values = _wrapped(values)[0]  # drop the array: Refs hold the ints
+        enabled = gc.isenabled()
+        gc.disable()  # a Ref holds one int: the records form no cycle
+        try:
+            self.data = list(map(Ref, values))
+        finally:
+            if enabled:
+                gc.enable()
 
     def __len__(self) -> int:
         return len(self.data)

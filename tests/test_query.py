@@ -1,9 +1,21 @@
 """Datasets, pipeline validation, and counter slot layout."""
 
+import gc
+from array import array
+
 import pytest
 
 from streambench.errors import InvalidPipeline, UnresolvedDataset
-from streambench.exprs import Arith, Capture, Cmp, Const, I64_MAX, Param
+from streambench.exprs import (
+    I64_MAX,
+    I64_MIN,
+    Arith,
+    Capture,
+    Cmp,
+    Const,
+    Param,
+    wrap_i64,
+)
 from streambench.lambdas import make_lambda
 from streambench.query import (
     Filter,
@@ -33,7 +45,85 @@ def scaled_by_outer():
     return make_lambda(Arith("mul", Param(0), Capture(0)), captures=1)
 
 
+class Indexable:
+    """An object array("q") takes through __index__ but wrap_i64 cannot order."""
+
+    def __index__(self):
+        return 7
+
+
+# Each input is a factory, so a generator is fresh for every build.
+BUILD_INPUTS = {
+    "in_range": lambda: [0, 1, -1, 3, 10**12, -(10**15)],
+    "min_minus_1": lambda: [5, I64_MIN - 1],
+    "min": lambda: [I64_MIN],
+    "min_plus_1": lambda: [I64_MIN + 1],
+    "max_minus_1": lambda: [I64_MAX - 1],
+    "max": lambda: [I64_MAX],
+    "max_plus_1": lambda: [I64_MAX + 1, 5],
+    "two_to_64": lambda: [1 << 64],
+    "true": lambda: [True, 2],
+    "float": lambda: [1, 2.5],
+    "str": lambda: [1, "a"],
+    "generator": lambda: (v * v for v in range(-3, 4)),
+    "wrapping_generator": lambda: (v for v in (1, I64_MAX + 1)),
+    "range": lambda: range(-5, 6),
+    "tuple": lambda: (4, I64_MIN - 1),
+    "bytes": lambda: b"12345678",
+    "index_only": lambda: [Indexable()],
+}
+
+
+def old_build(layout, values):
+    """The value-by-value build: the reference the bulk build must match."""
+    if layout == "ints":
+        return [(type(v), v) for v in array("q", (wrap_i64(v) for v in values))]
+    return [(type(r.value), r.value) for r in [Ref(wrap_i64(v)) for v in values]]
+
+
+def new_build(layout, values):
+    if layout == "ints":
+        return [(type(v), v) for v in ints_dataset(values).data]
+    return [(type(r.value), r.value) for r in refs_dataset(values).data]
+
+
+def outcome(build, layout, values):
+    try:
+        return build(layout, values)
+    except Exception as exc:  # the error type is the outcome compared
+        return type(exc)
+
+
 class TestDatasets:
+    @pytest.mark.parametrize("layout", ["ints", "refs"])
+    @pytest.mark.parametrize("name", sorted(BUILD_INPUTS))
+    def test_bulk_build_equals_the_value_by_value_build(self, layout, name):
+        make = BUILD_INPUTS[name]
+        assert outcome(new_build, layout, make()) == outcome(old_build, layout, make())
+
+    def test_refs_hold_the_callers_ints(self):
+        vals = [10**12 + i for i in range(100)] + [I64_MIN, I64_MAX]
+        ds = refs_dataset(vals)
+        assert all(r.value is v for r, v in zip(ds.data, vals, strict=True))
+
+    def test_refs_wrap_on_construction(self):
+        ds = refs_dataset([I64_MAX + 1, 1 << 64])
+        assert dataset_values(ds) == [-(1 << 63), 0]
+
+    @pytest.mark.parametrize("values", [[1, 2], [I64_MAX + 1], ["a"]])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_refs_build_restores_the_collector(self, enabled, values):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                refs_dataset(values)
+            except TypeError:
+                assert values == ["a"]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_ints_values_round_trip(self):
         ds = ints_dataset([3, 1, 4, 1, 5])
         assert len(ds) == 5
