@@ -71,7 +71,7 @@ class Ref:
 
 def _wrapped(values):
     """(values, their array) when every value is an int already in i64 range,
-    so that wrap_i64 changes none; else (a wrap_i64 generator over them, None),
+    so that wrap_i64 changes none; else (a wrap_i64 map over them, None),
     which wraps and raises as a value-by-value build does."""
     if type(values) not in (list, tuple, range):  # array() reads them by item
         values = list(values)  # an iterator is read once; bytes are not rows

@@ -6,16 +6,8 @@ from array import array
 import pytest
 
 from streambench.errors import InvalidPipeline, UnresolvedDataset
-from streambench.exprs import (
-    I64_MAX,
-    I64_MIN,
-    Arith,
-    Capture,
-    Cmp,
-    Const,
-    Param,
-    wrap_i64,
-)
+from streambench.exprs import Arith, Capture, Cmp, Const, I64_MAX, Param
+from streambench.exprs import I64_MIN, wrap_i64
 from streambench.lambdas import make_lambda
 from streambench.query import (
     Filter,
