@@ -306,16 +306,6 @@ def compile_binary(expr: ScalarExpr):
 # ---------------------------------------------------------------------------
 
 
-class _Site:
-    __slots__ = ("lam", "instance", "template", "counters")
-
-    def __init__(self, lam, counters):
-        self.lam = lam
-        self.instance = None
-        self.template = None
-        self.counters = counters
-
-
 class CallSiteCache:
     """Per-run registry of call sites and their closure accounting.
 
@@ -326,44 +316,56 @@ class CallSiteCache:
 
     def __init__(self, counters: CounterSet | None = None):
         self.counters = counters if counters is not None else CounterSet()
-        self._sites: dict[int, _Site] = {}
+        # site id -> (counters, instance), or (counters, template) when the
+        # site captures: template(*captures) makes an instance
+        self._sites: dict[int, tuple] = {}
 
     def bind(self, lam: Lambda, captures: tuple = ()):
         """Link on first touch, then produce (or reuse) an invocable instance."""
         site = self._sites.get(lam.site_id)
         if site is None:
             site = self._link(lam)
+        ctr, fn = site
         if lam.captures == 0:
-            return site.instance
+            return fn
         if len(captures) != lam.captures:
             raise ArityMismatch(
                 f"lambda captures {lam.captures} values, got {len(captures)}")
-        site.counters.instantiations += 1
-        return site.template(*captures)
+        ctr.instantiations += 1
+        return fn(*captures)
 
-    def direct(self, lam: Lambda):
-        """How to bind `lam` again without bind, once a bind of it passed.
+    def rebinder(self, sites):
+        """rebind(v), which binds a flat-map's inner lambdas to outer element v.
 
-        (counters, template) for a capturing site: the caller counts one
-        instantiation and calls template(*captures) itself, as bind would;
-        (None, instance) for a non-capturing one.
+        `sites` holds one (lambda, setter) pair per inner stage; setter(fn)
+        sets the instance its stage applies.  The first call binds every site
+        through bind, which links and checks it; later ones count and make an
+        instance for each capturing site, as bind would, with no lookup.
         """
-        site = self._sites[lam.site_id]
-        if site.template is None:
-            return None, site.instance
-        return site.counters, site.template
+        later = None  # after the first call: (counters, template, setter)
+        def rebind(v):
+            nonlocal later
+            if later is None:
+                for lam, setter in sites:
+                    setter(self.bind(lam, (v,) if lam.captures else ()))
+                later = [(*self._sites[lam.site_id], setter)
+                         for lam, setter in sites if lam.captures]
+                return
+            for ctr, template, setter in later:
+                ctr.instantiations += 1
+                setter(template(v))
+        return rebind
 
-    def _link(self, lam: Lambda) -> _Site:
+    def _link(self, lam: Lambda) -> tuple:
         if lam.arity != 1:
             raise ArityMismatch(f"stage lambdas are unary, got arity {lam.arity}")
         ctr = self.counters.site(lam.site_id)
-        site = _Site(lam, ctr)
         ctr.link_events += 1
         if lam.captures == 0:
-            site.instance = compile_unary(lam.body)
             ctr.instantiations += 1
+            site = ctr, compile_unary(lam.body)
         else:
-            site.template = _compile(lam.body, ("x0",), lam.captures)
+            site = ctr, _compile(lam.body, ("x0",), lam.captures)
         self._sites[lam.site_id] = site
         return site
 

@@ -28,11 +28,10 @@ A map keeps no state, and a flat-map's get passes straight to its inner
 chain: each is live exactly when what it reads from is, so a get before
 advance raises where the element would have come from.
 
-A flat-map builds its inner chain once.  For each outer element it resets the
-inner source and rebinds the inner lambdas, which is the capture event the
-call-site counters record; the first outer element binds through the cache,
-which links and checks each inner site, and later ones count the
-instantiation and call the site's template directly.
+A flat-map builds its inner chain once, with the function that builds the
+top-level chain.  For each outer element it resets the inner source and
+rebinds the inner lambdas through the chain's rebind function
+(CallSiteCache.rebinder), which records the capture events.
 
 Opening a chain does no element work: nothing advances, no lambda applies,
 until the terminal starts pulling.
@@ -160,64 +159,56 @@ def _filter(up):
     return Cursor(advance, get, lambda: passed, lambda: passed + failed), bind
 
 
-def _flat_map(up, inner_ds, stages, cache):
+def _flat_map(up, inner_ds, stages, datasets, cache):
     """A cursor that drains one inner chain per outer element.
 
     The inner chain is built here, once, with its lambdas unbound; each
-    outer element resets its source and binds them (module docstring).  The
-    flat-map emits what the inner chain's last cursor emits.
+    outer element resets its source and rebinds them (module docstring).
+    The flat-map emits what the inner chain's last cursor emits.
     """
     up_advance, up_get = up.advance, up.get
-    cursor, reset = _source(inner_ds)
-    inner = [cursor]
-    sites = []  # per inner stage: (lambda, bind)
-    for stage in stages:
-        cursor, bind = _stage(cursor, stage)
-        inner.append(cursor)
-        sites.append((_lambda(stage), bind))
-    inner_advance, inner_get, inner_emitted = cursor.advance, cursor.get, cursor.emitted
-    rebind = None  # once linked: (counters, template, bind) per capturing site
+    source, reset = _source(inner_ds)
+    inner, sites = _chain(source, stages, datasets, cache)
+    rebind = cache.rebinder(sites)
+    inner_advance, inner_get, inner_emitted = inner[-1][:3]
     opened = False
     failed = 0
-
-    def open_inner(outer_v):
-        nonlocal rebind, opened
-        reset()
-        if rebind is None:
-            for lam, bind in sites:
-                bind(cache.bind(lam, (outer_v,) if lam.captures else ()))
-            rebind = [(*cache.direct(lam), bind) for lam, bind in sites if lam.captures]
-        else:
-            for ctr, make, bind in rebind:
-                ctr.instantiations += 1
-                bind(make(outer_v))
-        opened = True
 
     def advance():
         nonlocal opened, failed
         if opened and inner_advance():
             return True
         while up_advance():
-            open_inner(up_get())
+            v = up_get()
+            reset()
+            rebind(v)
+            opened = True
             if inner_advance():
                 return True
         opened = False
         failed += 1
         return False
 
-    def get():
-        return inner_get()
-
-    return Cursor(advance, get, inner_emitted, lambda: inner_emitted() + failed,
-                  tuple(inner))
+    return Cursor(advance, inner_get, inner_emitted,
+                  lambda: inner_emitted() + failed, tuple(inner))
 
 
-def _lambda(stage):
-    return stage.fn if isinstance(stage, Map) else stage.predicate
-
-
-def _stage(up, stage):
-    return (_map if isinstance(stage, Map) else _filter)(up)
+def _chain(up, stages, datasets, cache):
+    """The cursors of `stages` over `up`, `up` first, and the (lambda, bind)
+    pair of each map and filter, in stage order; no lambda is bound yet."""
+    cursors, sites = [up], []
+    for stage in stages:
+        if isinstance(stage, FlatMap):
+            up = _flat_map(up, resolve_dataset(datasets, stage.inner_source),
+                           stage.stages, datasets, cache)
+        elif isinstance(stage, Map):
+            up, bind = _map(up)
+            sites.append((stage.fn, bind))
+        else:
+            up, bind = _filter(up)
+            sites.append((stage.predicate, bind))
+        cursors.append(up)
+    return cursors, sites
 
 
 def _counting(get):
@@ -271,16 +262,11 @@ def _open(query: QueryExpr, datasets, counters: CounterSet, cache, counted: bool
     counters.ensure_stages(layout.labels)
     if cache is None:
         cache = CallSiteCache(counters)
-    cursor = _source(resolve_dataset(datasets, query.source))[0]
-    cursors = [cursor]
-    for stage in query.stages:
-        if isinstance(stage, FlatMap):
-            cursor = _flat_map(cursor, resolve_dataset(datasets, stage.inner_source),
-                               stage.stages, cache)
-        else:
-            cursor, bind = _stage(cursor, stage)
-            bind(cache.bind(_lambda(stage)))
-        cursors.append(cursor)
+    cursors, sites = _chain(_source(resolve_dataset(datasets, query.source))[0],
+                            query.stages, datasets, cache)
+    for lam, bind in sites:
+        bind(cache.bind(lam))
+    cursor = cursors[-1]
     received = found = cursor.emitted
     if counted:
         get, received, found = _counting(cursor.get)

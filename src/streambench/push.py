@@ -6,8 +6,10 @@ stage's accept.  Moving one element through a stage costs exactly one
 boundary crossing — the accept it receives — so a stage entered by k elements
 records k control_dispatches (and a map or filter k lambda_applies), against
 pull's 2k+1.  A flat-map fuses its inner loop into its own accept: there is no
-inner cursor, only inner accepts closed over lambdas bound afresh per outer
-element, which is where the capture events come from.
+inner cursor, only inner accepts, built once with the function that builds
+the top-level chain, whose lambdas are rebound per outer element through the
+chain's rebind function (CallSiteCache.rebinder): that is where the capture
+events come from.
 
 Those counts are laws of element flow, so push keeps them off the per-element
 path.  It counts only where the flow starts or changes: the chain's head (one
@@ -125,61 +127,77 @@ class _Head:
 
 
 # A stage's accept is a closure over its lambda and the next stage's accept,
-# so moving an element through it reads no attribute.
+# so moving an element through it reads no attribute.  _map and _filter
+# return (accept, bind): bind(fn) sets the lambda the accept applies.
 
 
-def _map(down, fn):
+def _map(down):
+    fn = None
+
     def accept(v):
         down(fn(v))
-    return accept
+
+    def bind(f):
+        nonlocal fn
+        fn = f
+    return accept, bind
 
 
-def _filter(down, fn, passed):
+def _filter(down, passed):
     """`passed.n` counts what fn lets through: the flow entering the next stage."""
+    fn = None
 
     def accept(v):
         if fn(v):
             passed.n += 1
             down(v)
-    return accept
+
+    def bind(f):
+        nonlocal fn
+        fn = f
+    return accept, bind
 
 
-def _flat_map(down, inner_ds, stages, passed, entered, cache):
+def _flat_map(down, inner_ds, stages, flows, entered, cache):
     """Runs the inner chain over the inner source for each outer element.
 
-    Each outer element binds the inner lambdas, which is where the capture
-    events come from, and closes the inner accepts over them.  The first one
-    binds through the cache, which links and checks each inner site; later
-    ones count the instantiation and call the site's template directly.
+    The inner accepts are built here, once, with their lambdas unbound; each
+    outer element rebinds them through the chain's rebind function
+    (CallSiteCache.rebinder), which is where the capture events come from.
     `entered.n` counts the inner source's elements, the flow entering the
-    first inner stage; `passed` holds each inner filter's flow (None for a
+    first inner stage; `flows` holds each inner filter's flow (None for a
     map).
     """
     push = inner_ds.push
     width = len(inner_ds)
-    plan = [(stage.fn if isinstance(stage, Map) else stage.predicate, flow)
-            for stage, flow in zip(stages, passed)]
-    plan.reverse()  # the accepts are built back to front
-    linked = []  # per plan entry: (counters, template or instance, flow)
+    first, sites = _chain(down, stages, flows, (), None, cache)
+    rebind = cache.rebinder(sites)
 
-    def accept(outer_v):
+    def accept(v):
         entered.n += width
-        inner = down
-        if linked:
-            for ctr, make, flow in linked:
-                if ctr is None:
-                    fn = make
-                else:
-                    ctr.instantiations += 1
-                    fn = make(outer_v)
-                inner = _map(inner, fn) if flow is None else _filter(inner, fn, flow)
-        else:
-            for lam, flow in plan:
-                fn = cache.bind(lam, (outer_v,) if lam.captures else ())
-                inner = _map(inner, fn) if flow is None else _filter(inner, fn, flow)
-            linked.extend((*cache.direct(lam), flow) for lam, flow in plan)
-        push(inner, 0, width)
+        rebind(v)
+        push(first, 0, width)
     return accept
+
+
+def _chain(down, stages, flows, inner_flows, datasets, cache):
+    """The first accept of `stages` in front of `down`, and the (lambda,
+    bind) pair of each map and filter, in stage order; no lambda is bound
+    yet.  The accepts are built back to front.  `flows` holds each stage's
+    count cell (None for a map) and `inner_flows` a flat-map's inner ones."""
+    sites = []
+    for stage, flow in zip(reversed(stages), reversed(flows)):
+        if isinstance(stage, FlatMap):
+            down = _flat_map(down, resolve_dataset(datasets, stage.inner_source),
+                             stage.stages, inner_flows, flow, cache)
+        elif isinstance(stage, Map):
+            down, bind = _map(down)
+            sites.append((stage.fn, bind))
+        else:
+            down, bind = _filter(down, flow)
+            sites.append((stage.predicate, bind))
+    sites.reverse()
+    return down, sites
 
 
 class _SumSink:
@@ -230,15 +248,9 @@ def build_chain(query: QueryExpr, datasets, counters: CounterSet,
     top = [None if isinstance(s, Map) else _Cell() for s in query.stages]
     inner = [_Cell() if isinstance(s, Filter) else None
              for fm in query.stages if isinstance(fm, FlatMap) for s in fm.stages]
-    accept = sink.accept
-    for stage, flow in zip(reversed(query.stages), reversed(top)):
-        if isinstance(stage, Map):
-            accept = _map(accept, cache.bind(stage.fn))
-        elif isinstance(stage, Filter):
-            accept = _filter(accept, cache.bind(stage.predicate), flow)
-        else:
-            accept = _flat_map(accept, resolve_dataset(datasets, stage.inner_source),
-                               stage.stages, inner, flow, cache)
+    accept, sites = _chain(sink.accept, query.stages, top, inner, datasets, cache)
+    for lam, bind in sites:
+        bind(cache.bind(lam))
     head = _Head(accept)
     reads = []  # per slot: (slot, the cell of the flow entering it, counts applies)
 

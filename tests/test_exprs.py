@@ -1,5 +1,11 @@
 """Expression tree semantics: wrapping, truncated mod, evaluation, printing."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -202,3 +208,28 @@ class TestFormat:
         assert format_expr(Cmp("lt", Param(0), Const(3))) == "(x0 < 3)"
         nested = Arith("sub", Arith("add", Param(0), Const(1)), Capture(0))
         assert format_expr(nested) == "((x0 + 1) - c0)"
+
+
+# Unpickles the tree on stdin in a process of its own and prints, against a
+# tree built fresh there: equal, equal hashes, and the hash of the op string.
+_UNPICKLE = """
+import pickle, sys
+from streambench.exprs import Arith, Capture, Const, Param
+got = pickle.loads(sys.stdin.buffer.read())
+fresh = Arith("add", Arith("mul", Param(0), Const(3)), Capture(0))
+print(got == fresh, hash(got) == hash(fresh), hash("add"))
+"""
+
+
+class TestPickle:
+    def test_arith_rehashes_in_a_process_with_another_hash_seed(self):
+        tree = Arith("add", Arith("mul", Param(0), Const(3)), Capture(0))
+        seed = os.environ.get("PYTHONHASHSEED", "random")
+        src = str(Path(sys.modules["streambench.exprs"].__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src,
+               "PYTHONHASHSEED": str(int(seed) + 1) if seed.isdigit() else "0"}
+        out = subprocess.run([sys.executable, "-c", _UNPICKLE], env=env,
+                             input=pickle.dumps(tree), capture_output=True,
+                             check=True).stdout.split()
+        assert int(out[2]) != hash("add")  # the op strings hash differently
+        assert out[:2] == [b"True", b"True"]

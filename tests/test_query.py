@@ -67,10 +67,12 @@ BUILD_INPUTS = {
 
 
 def old_build(layout, values):
-    """The value-by-value build: the reference the bulk build must match."""
+    """The value-by-value build: the reference the bulk build must match.
+    Refs hold the ints layout's rows, so both layouts take the same values."""
+    rows = array("q", (wrap_i64(v) for v in values))
     if layout == "ints":
-        return [(type(v), v) for v in array("q", (wrap_i64(v) for v in values))]
-    return [(type(r.value), r.value) for r in [Ref(wrap_i64(v)) for v in values]]
+        return [(type(v), v) for v in rows]
+    return [(type(r.value), r.value) for r in [Ref(v) for v in rows]]
 
 
 def new_build(layout, values):
