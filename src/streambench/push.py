@@ -11,6 +11,14 @@ the top-level chain, whose lambdas are rebound per outer element through the
 chain's rebind function (CallSiteCache.rebinder): that is where the capture
 events come from.
 
+The terminal is not a stage.  The stage next to it (the last map or filter,
+or the last inner one when a flat-map ends the query) is built with the
+terminal's fold inside its accept (`acc += fn(v)`), so an element that
+reaches the sum or count costs no call past that stage; pull's terminal is
+likewise its driving loop (run_pull).  No counter counts the fold.  A chain
+with no stages, and a flat-map with no inner stages that ends the query,
+call the terminal's plain accept.
+
 Those counts are laws of element flow, so push keeps them off the per-element
 path.  It counts only where the flow starts or changes: the chain's head (one
 add per range in for_each_remaining, one per call on a direct accept), each
@@ -28,6 +36,8 @@ everything remaining in one tight loop.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from .counters import CounterSet
 from .exprs import wrap_i64
@@ -158,7 +168,7 @@ def _filter(down, passed):
     return accept, bind
 
 
-def _flat_map(down, inner_ds, stages, flows, entered, cache):
+def _flat_map(down, inner_ds, stages, flows, entered, cache, sink):
     """Runs the inner chain over the inner source for each outer element.
 
     The inner accepts are built here, once, with their lambdas unbound; each
@@ -166,11 +176,11 @@ def _flat_map(down, inner_ds, stages, flows, entered, cache):
     (CallSiteCache.rebinder), which is where the capture events come from.
     `entered.n` counts the inner source's elements, the flow entering the
     first inner stage; `flows` holds each inner filter's flow (None for a
-    map).
+    map).  `sink` is the terminal when the flat-map ends the query.
     """
     push = inner_ds.push
     width = len(inner_ds)
-    first, sites = _chain(down, stages, flows, (), None, cache)
+    first, sites = _chain(down, stages, flows, (), None, cache, sink)
     rebind = cache.rebinder(sites)
 
     def accept(v):
@@ -180,54 +190,115 @@ def _flat_map(down, inner_ds, stages, flows, entered, cache):
     return accept
 
 
-def _chain(down, stages, flows, inner_flows, datasets, cache):
+def _chain(down, stages, flows, inner_flows, datasets, cache, sink=None):
     """The first accept of `stages` in front of `down`, and the (lambda,
     bind) pair of each map and filter, in stage order; no lambda is bound
     yet.  The accepts are built back to front.  `flows` holds each stage's
-    count cell (None for a map) and `inner_flows` a flat-map's inner ones."""
+    count cell (None for a map) and `inner_flows` a flat-map's inner ones.
+    When `down` is the accept of `sink`, the terminal, the last map or
+    filter takes the sink's fold in place of a call to `down`."""
     sites = []
     for stage, flow in zip(reversed(stages), reversed(flows)):
         if isinstance(stage, FlatMap):
             down = _flat_map(down, resolve_dataset(datasets, stage.inner_source),
-                             stage.stages, inner_flows, flow, cache)
+                             stage.stages, inner_flows, flow, cache, sink)
         elif isinstance(stage, Map):
-            down, bind = _map(down)
+            down, bind = _map(down) if sink is None else sink.fold_map()
             sites.append((stage.fn, bind))
         else:
-            down, bind = _filter(down, flow)
+            down, bind = _filter(down, flow) if sink is None else sink.fold_filter()
             sites.append((stage.predicate, bind))
+        sink = None
     sites.reverse()
     return down, sites
 
 
-class _SumSink:
+class _Sink(NamedTuple):
+    """A terminal: `accept` folds one value and `result()` reads the fold.
+
+    fold_map() and fold_filter() build the stage next to the terminal with
+    the fold inside its accept, returning (accept, bind) as _map and _filter
+    do, so a value that reaches the terminal costs no call of its own.  The
+    terminal is not a stage: no counter counts its fold.  A last filter's
+    passes enter no stage, so its fold keeps no count of them.
+    """
+
+    accept: Callable[[int], None]
+    result: Callable[[], int]
+    fold_map: Callable[[], tuple]
+    fold_filter: Callable[[], tuple]
+
+
+def _sum_sink() -> _Sink:
     """Folds with plain adds, congruent mod 2**64; result() wraps once."""
+    acc = 0
 
-    __slots__ = ("accept", "result")
+    def accept(v):
+        nonlocal acc
+        acc += v
 
-    def __init__(self):
-        acc = 0
+    def fold_map():
+        fn = None
 
         def accept(v):
             nonlocal acc
-            acc += v
+            acc += fn(v)
 
-        self.accept = accept
-        self.result = lambda: wrap_i64(acc)
+        def bind(f):
+            nonlocal fn
+            fn = f
+        return accept, bind
+
+    def fold_filter():
+        fn = None
+
+        def accept(v):
+            nonlocal acc
+            if fn(v):
+                acc += v
+
+        def bind(f):
+            nonlocal fn
+            fn = f
+        return accept, bind
+
+    return _Sink(accept, lambda: wrap_i64(acc), fold_map, fold_filter)
 
 
-class _CountSink:
-    __slots__ = ("accept", "result")
+def _count_sink() -> _Sink:
+    n = 0
 
-    def __init__(self):
-        n = 0
+    def accept(v):
+        nonlocal n
+        n += 1
+
+    def fold_map():
+        fn = None
 
         def accept(v):
             nonlocal n
+            fn(v)
             n += 1
 
-        self.accept = accept
-        self.result = lambda: n
+        def bind(f):
+            nonlocal fn
+            fn = f
+        return accept, bind
+
+    def fold_filter():
+        fn = None
+
+        def accept(v):
+            nonlocal n
+            if fn(v):
+                n += 1
+
+        def bind(f):
+            nonlocal fn
+            fn = f
+        return accept, bind
+
+    return _Sink(accept, lambda: n, fold_map, fold_filter)
 
 
 def build_chain(query: QueryExpr, datasets, counters: CounterSet,
@@ -241,14 +312,14 @@ def build_chain(query: QueryExpr, datasets, counters: CounterSet,
     counters.ensure_stages(layout.labels)
     if cache is None:
         cache = CallSiteCache(counters)
-    sink = _SumSink() if query.terminal is Terminal.SUM else _CountSink()
+    sink = _sum_sink() if query.terminal is Terminal.SUM else _count_sink()
     if not query.stages:
         return sink, sink
     # the flow each filter (its passes) and the flat-map (its inner source) starts
     top = [None if isinstance(s, Map) else _Cell() for s in query.stages]
     inner = [_Cell() if isinstance(s, Filter) else None
              for fm in query.stages if isinstance(fm, FlatMap) for s in fm.stages]
-    accept, sites = _chain(sink.accept, query.stages, top, inner, datasets, cache)
+    accept, sites = _chain(sink.accept, query.stages, top, inner, datasets, cache, sink)
     for lam, bind in sites:
         bind(cache.bind(lam))
     head = _Head(accept)

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_pipeline
 from test_layouts import BoxedDataset
+from test_push_counts import TERMINAL_SHAPES, push_law
 from streambench.counters import CounterSet
 from streambench.errors import DivisionByZero, InvalidPipeline, WorkerFailed
 from streambench.exprs import Arith, Capture, Cmp, Const, Param
@@ -28,6 +29,7 @@ from streambench.query import (
     ints_dataset,
     refs_dataset,
 )
+from streambench.suite import oracle_run
 
 SQUARE = Arith("mul", Param(0), Param(0))
 EVEN = Cmp("eq", Arith("mod", Param(0), Const(2)), Const(0))
@@ -286,6 +288,27 @@ class TestFork:
                 assert fused_counters.control_dispatches == 0
                 assert fused_counters.lambda_applies == 0
                 assert len(forks) == 2 * (workers - 1)
+
+    @pytest.mark.parametrize("terminal", [Terminal.SUM, Terminal.COUNT])
+    @pytest.mark.parametrize("shape", list(TERMINAL_SHAPES))
+    def test_stage_next_to_the_terminal(self, shape, terminal, forks):
+        # each forked share folds the terminal into its last stage's accept
+        stages = TERMINAL_SHAPES[shape]()
+        nested = any(isinstance(s, FlatMap) for s in stages)
+        rows = big_source()[:BIG // 3] if nested else big_source()
+        q = build_query("src", stages, terminal)
+        ds = {"src": ints_dataset(rows), "inner": ints_dataset([-500, 3, 700])}
+        cfg = ParallelConfig(workers=2)
+        if shape.endswith("mod-0"):
+            with pytest.raises(DivisionByZero):
+                run_parallel(q, ds, cfg)
+        else:
+            want, law = push_law(q, ds)
+            assert want == oracle_run(q, ds)
+            counters = CounterSet()
+            assert run_parallel(q, ds, cfg, counters) == want
+            assert [(n, applies) for _, n, applies in stage_counts(counters)] == law
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("layout", ["refs", "boxed"])
     def test_layouts_that_write_on_read_never_fork(self, layout, no_forks):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_pipeline
 from streambench import parallel
 from streambench.counters import CounterSet
-from streambench.errors import StreamError
+from streambench.errors import DivisionByZero, StreamError
 from streambench.exprs import Arith, Capture, Cmp, Const, Param, eval_scalar, wrap_i64
 from streambench.lambdas import make_lambda
 from streambench.parallel import ParallelConfig, run_parallel
@@ -38,11 +38,40 @@ from streambench.query import (
     refs_dataset,
     resolve_dataset,
 )
+from streambench.suite import oracle_run
 
 SQUARE = Arith("mul", Param(0), Param(0))
 EVEN = Cmp("eq", Arith("mod", Param(0), Const(2)), Const(0))
 SCALED = Arith("mul", Param(0), Capture(0))
 BELOW_CAPTURE = Cmp("lt", Param(0), Capture(0))
+MOD_ZERO = Arith("mod", Param(0), Const(0))
+
+
+def _inner(*stages):
+    return FlatMap("inner", stages)
+
+
+# Every kind of stage that can sit next to the terminal, whose accept then
+# holds the terminal's fold: a last map or filter, at top level or ending a
+# flat-map; and the shapes that keep the terminal's own accept.  Each entry
+# builds fresh lambdas; the mod-0 shapes raise on the first element that
+# reaches their last stage.
+TERMINAL_SHAPES = {
+    "no-stages": lambda: [],
+    "last-map": lambda: [Filter(make_lambda(EVEN)), Map(make_lambda(SQUARE))],
+    "last-filter": lambda: [Map(make_lambda(SQUARE)), Filter(make_lambda(EVEN))],
+    "flat-map-ending-in-map": lambda: [
+        Filter(make_lambda(EVEN)),
+        _inner(Filter(make_lambda(BELOW_CAPTURE, captures=1)),
+               Map(make_lambda(SCALED, captures=1)))],
+    "flat-map-ending-in-filter": lambda: [
+        _inner(Map(make_lambda(SCALED, captures=1)),
+               Filter(make_lambda(BELOW_CAPTURE, captures=1)))],
+    "flat-map-without-stages": lambda: [Map(make_lambda(SQUARE)), _inner()],
+    "last-map-mod-0": lambda: [Filter(make_lambda(EVEN)), Map(make_lambda(MOD_ZERO))],
+    "flat-map-ending-in-map-mod-0": lambda: [
+        _inner(Filter(make_lambda(BELOW_CAPTURE, captures=1)), Map(make_lambda(MOD_ZERO)))],
+}
 
 
 def push_law(query, datasets):
@@ -113,10 +142,19 @@ def stepped(query, datasets, counters):
     return sink.result()
 
 
+def chained(query, datasets, counters):
+    """Push the whole source through build_chain's head in one range."""
+    head, sink = build_chain(query, datasets, counters)
+    for_each_remaining(SplitCursor(resolve_dataset(datasets, query.source)), head)
+    return sink.result()
+
+
 def runs(query, datasets):
-    """(engine, run) for push, for push read after every element, and for
-    push-par at 1, 2 and 4 workers."""
+    """(engine, run) for push, for build_chain's head driven over the whole
+    source, for push read after every element, and for push-par at 1, 2 and
+    4 workers, inline."""
     yield "push", lambda c: run_push(query, datasets, c)
+    yield "push/chain", lambda c: chained(query, datasets, c)
     yield "push/stepped", lambda c: stepped(query, datasets, c)
     for workers in (1, 2, 4):
         config = ParallelConfig(workers=workers, split_threshold=5)
@@ -160,6 +198,27 @@ class TestFlowLaw:
                     counters = CounterSet()
                     assert run(counters) == want == 18, engine
                     assert stage_counts(counters) == law, engine
+
+    @pytest.mark.parametrize("terminal", [Terminal.SUM, Terminal.COUNT])
+    @pytest.mark.parametrize("shape", list(TERMINAL_SHAPES))
+    def test_stage_next_to_the_terminal(self, shape, terminal):
+        # the last stage folds the terminal into its accept; values, errors
+        # and counts stay the oracle's and the walk's
+        q = build_query("src", TERMINAL_SHAPES[shape](), terminal)
+        ds = {"src": ints_dataset(range(-9, 12)), "inner": ints_dataset([-4, 0, 3, 7])}
+        if shape.endswith("mod-0"):
+            with pytest.raises(DivisionByZero):
+                oracle_run(q, ds)
+            for engine, run in runs(q, ds):
+                with pytest.raises(DivisionByZero):
+                    run(CounterSet())
+            return
+        want, law = push_law(q, ds)
+        assert want == oracle_run(q, ds)
+        for engine, run in runs(q, ds):
+            counters = CounterSet()
+            assert run(counters) == want, engine
+            assert stage_counts(counters) == law, engine
 
 
 class TestLiveCounters:
