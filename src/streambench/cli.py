@@ -14,6 +14,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .counters import CounterSet
 from .errors import ResultMismatch
@@ -70,53 +71,37 @@ def _hex64(value: int) -> str:
 
 
 def _make_body(bench, engine: str, query, datasets, args):
-    """Return (body, threads) where body() -> (value, CounterSet)."""
+    """Return (body, threads) where body() -> (value, CounterSet); each
+    engine gives run(counters), one run that counts into counters."""
+    threads = 1
     if engine == "baseline":
         baseline = bench.baseline
 
-        def body():
-            return baseline(datasets), CounterSet()
-        return body, 1
-
-    if engine == "pull":
-        def body():
-            counters = CounterSet()
-            return run_pull(query, datasets, counters), counters
-        return body, 1
-
-    if engine == "push":
-        def body():
-            counters = CounterSet()
-            return run_push(query, datasets, counters), counters
-        return body, 1
-
-    if engine == "fused":
+        def run(counters):
+            return baseline(datasets)
+    elif engine == "pull":
+        run = partial(run_pull, query, datasets)
+    elif engine == "push":
+        run = partial(run_push, query, datasets)
+    elif engine == "fused":
         t0 = time.perf_counter()
         plan = optimize(query)
         optimize_ms = (time.perf_counter() - t0) * 1e3
         print(f"# {bench.name} fused optimize: {optimize_ms:.3f} ms "
               "(excluded from samples; code generation runs inside them)",
               file=sys.stderr)
-
-        def body():
-            counters = CounterSet()
-            return exec_fused(plan, datasets, counters), counters
-        return body, 1
-
-    config = ParallelConfig(workers=args.threads,
-                            split_threshold=args.split_threshold)
-    if engine == "push-par":
-        def body():
-            counters = CounterSet()
-            return run_parallel(query, datasets, config, counters), counters
-        return body, config.resolved_workers()
-
-    plan = optimize(query)
+        run = partial(exec_fused, plan, datasets)
+    else:
+        config = ParallelConfig(workers=args.threads,
+                                split_threshold=args.split_threshold)
+        target = query if engine == "push-par" else optimize(query)
+        run = partial(run_parallel, target, datasets, config)
+        threads = config.resolved_workers()
 
     def body():
         counters = CounterSet()
-        return run_parallel(plan, datasets, config, counters), counters
-    return body, config.resolved_workers()
+        return run(counters), counters
+    return body, threads
 
 
 # ---------------------------------------------------------------------------

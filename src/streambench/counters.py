@@ -50,12 +50,6 @@ class SiteCounters:
     def __repr__(self) -> str:
         return f"SiteCounters(links={self.link_events}, instantiations={self.instantiations})"
 
-    def __getstate__(self):
-        return (self.link_events, self.instantiations)
-
-    def __setstate__(self, state):
-        self.link_events, self.instantiations = state
-
 
 class CounterSet:
     """All counters for one run (or one worker's share of a run).

@@ -337,23 +337,23 @@ class CallSiteCache:
     def rebinder(self, sites):
         """rebind(v), which binds a flat-map's inner lambdas to outer element v.
 
-        `sites` holds one (lambda, setter) pair per inner stage; setter(fn)
-        sets the instance its stage applies.  The first call binds every site
-        through bind, which links and checks it; later ones count and make an
-        instance for each capturing site, as bind would, with no lookup.
+        `sites` holds one (lambda, cell) pair per inner stage (stage_cell).
+        The first call binds every site through bind, which links and checks
+        it; later ones count and write a new instance for each capturing
+        site into its cell, as bind would make it, with no lookup.
         """
-        later = None  # after the first call: (counters, template, setter)
+        later = None  # after the first call: (counters, template, cell)
         def rebind(v):
             nonlocal later
             if later is None:
-                for lam, setter in sites:
-                    setter(self.bind(lam, (v,) if lam.captures else ()))
-                later = [(*self._sites[lam.site_id], setter)
-                         for lam, setter in sites if lam.captures]
+                for lam, cell in sites:
+                    cell.cell_contents = self.bind(lam, (v,) if lam.captures else ())
+                later = [(*self._sites[lam.site_id], cell)
+                         for lam, cell in sites if lam.captures]
                 return
-            for ctr, template, setter in later:
+            for ctr, template, cell in later:
                 ctr.instantiations += 1
-                setter(template(v))
+                cell.cell_contents = template(v)
         return rebind
 
     def _link(self, lam: Lambda) -> tuple:
@@ -375,6 +375,11 @@ class CallSiteCache:
         if ctr is None:
             return (0, 0)
         return (ctr.link_events, ctr.instantiations)
+
+
+def stage_cell(closure):
+    """The cell of `fn`, the lambda a stage closure applies; writing it binds."""
+    return closure.__closure__[closure.__code__.co_freevars.index("fn")]
 
 
 def apply_lambda(cache: CallSiteCache, lam: Lambda, params: tuple,

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 from .counters import CounterSet
 from .errors import GetBeforeAdvance
 from .exprs import wrap_i64
-from .lambdas import CallSiteCache
+from .lambdas import CallSiteCache, stage_cell
 from .query import (
     Filter,
     FlatMap,
@@ -110,8 +110,8 @@ def _source(dataset):
 
 
 def _map(up):
-    """(cursor, bind): bind(fn) sets the lambda the cursor applies.  The map
-    keeps no state: it advances and emits as its upstream does."""
+    """A cursor whose get applies `fn`.  The map keeps no state: it
+    advances and emits as its upstream does."""
     up_advance, up_get = up.advance, up.get
     fn = None
 
@@ -121,17 +121,13 @@ def _map(up):
     def get():
         return fn(up_get())
 
-    def bind(f):
-        nonlocal fn
-        fn = f
-
-    return Cursor(advance, get, up.emitted, up.advances), bind
+    return Cursor(advance, get, up.emitted, up.advances)
 
 
 def _filter(up):
-    """(cursor, bind): bind(pred) sets the predicate the cursor tests."""
+    """A cursor whose advance tests `fn`."""
     up_advance, up_get = up.advance, up.get
-    pred = None
+    fn = None
     cur = _NOTHING
     passed = failed = 0
 
@@ -139,7 +135,7 @@ def _filter(up):
         nonlocal cur, passed, failed
         while up_advance():
             v = up_get()
-            if pred(v):
+            if fn(v):
                 cur = v
                 passed += 1
                 return True
@@ -152,11 +148,7 @@ def _filter(up):
             raise GetBeforeAdvance("filter cursor has no current element")
         return cur
 
-    def bind(f):
-        nonlocal pred
-        pred = f
-
-    return Cursor(advance, get, lambda: passed, lambda: passed + failed), bind
+    return Cursor(advance, get, lambda: passed, lambda: passed + failed)
 
 
 def _flat_map(up, inner_ds, stages, datasets, cache):
@@ -194,19 +186,20 @@ def _flat_map(up, inner_ds, stages, datasets, cache):
 
 
 def _chain(up, stages, datasets, cache):
-    """The cursors of `stages` over `up`, `up` first, and the (lambda, bind)
-    pair of each map and filter, in stage order; no lambda is bound yet."""
+    """The cursors of `stages` over `up`, `up` first, and the (lambda, cell)
+    pair of each map and filter, in stage order: the cell of the `fn` its
+    closures apply, which binding writes.  No lambda is bound yet."""
     cursors, sites = [up], []
     for stage in stages:
         if isinstance(stage, FlatMap):
             up = _flat_map(up, resolve_dataset(datasets, stage.inner_source),
                            stage.stages, datasets, cache)
         elif isinstance(stage, Map):
-            up, bind = _map(up)
-            sites.append((stage.fn, bind))
+            up = _map(up)
+            sites.append((stage.fn, stage_cell(up.get)))
         else:
-            up, bind = _filter(up)
-            sites.append((stage.predicate, bind))
+            up = _filter(up)
+            sites.append((stage.predicate, stage_cell(up.advance)))
         cursors.append(up)
     return cursors, sites
 
@@ -264,8 +257,8 @@ def _open(query: QueryExpr, datasets, counters: CounterSet, cache, counted: bool
         cache = CallSiteCache(counters)
     cursors, sites = _chain(_source(resolve_dataset(datasets, query.source))[0],
                             query.stages, datasets, cache)
-    for lam, bind in sites:
-        bind(cache.bind(lam))
+    for lam, cell in sites:
+        cell.cell_contents = cache.bind(lam)
     cursor = cursors[-1]
     received = found = cursor.emitted
     if counted:

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 from .counters import CounterSet
 from .exprs import wrap_i64
-from .lambdas import CallSiteCache
+from .lambdas import CallSiteCache, stage_cell
 from .query import (
     Filter,
     FlatMap,
@@ -137,8 +137,8 @@ class _Head:
 
 
 # A stage's accept is a closure over its lambda and the next stage's accept,
-# so moving an element through it reads no attribute.  _map and _filter
-# return (accept, bind): bind(fn) sets the lambda the accept applies.
+# so moving an element through it reads no attribute.  Every stage closure
+# names its lambda `fn`, and binding writes that cell (lambdas.stage_cell).
 
 
 def _map(down):
@@ -146,11 +146,7 @@ def _map(down):
 
     def accept(v):
         down(fn(v))
-
-    def bind(f):
-        nonlocal fn
-        fn = f
-    return accept, bind
+    return accept
 
 
 def _filter(down, passed):
@@ -161,11 +157,7 @@ def _filter(down, passed):
         if fn(v):
             passed.n += 1
             down(v)
-
-    def bind(f):
-        nonlocal fn
-        fn = f
-    return accept, bind
+    return accept
 
 
 def _flat_map(down, inner_ds, stages, flows, entered, cache, sink):
@@ -192,7 +184,7 @@ def _flat_map(down, inner_ds, stages, flows, entered, cache, sink):
 
 def _chain(down, stages, flows, inner_flows, datasets, cache, sink=None):
     """The first accept of `stages` in front of `down`, and the (lambda,
-    bind) pair of each map and filter, in stage order; no lambda is bound
+    cell) pair of each map and filter, in stage order; no lambda is bound
     yet.  The accepts are built back to front.  `flows` holds each stage's
     count cell (None for a map) and `inner_flows` a flat-map's inner ones.
     When `down` is the accept of `sink`, the terminal, the last map or
@@ -203,11 +195,11 @@ def _chain(down, stages, flows, inner_flows, datasets, cache, sink=None):
             down = _flat_map(down, resolve_dataset(datasets, stage.inner_source),
                              stage.stages, inner_flows, flow, cache, sink)
         elif isinstance(stage, Map):
-            down, bind = _map(down) if sink is None else sink.fold_map()
-            sites.append((stage.fn, bind))
+            down = _map(down) if sink is None else sink.fold_map()
+            sites.append((stage.fn, stage_cell(down)))
         else:
-            down, bind = _filter(down, flow) if sink is None else sink.fold_filter()
-            sites.append((stage.predicate, bind))
+            down = _filter(down, flow) if sink is None else sink.fold_filter()
+            sites.append((stage.predicate, stage_cell(down)))
         sink = None
     sites.reverse()
     return down, sites
@@ -216,8 +208,8 @@ def _chain(down, stages, flows, inner_flows, datasets, cache, sink=None):
 class _Sink(NamedTuple):
     """A terminal: `accept` folds one value and `result()` reads the fold.
 
-    fold_map() and fold_filter() build the stage next to the terminal with
-    the fold inside its accept, returning (accept, bind) as _map and _filter
+    fold_map() and fold_filter() build the stage next to the terminal: an
+    accept with the fold inside, applying its `fn` as _map's and _filter's
     do, so a value that reaches the terminal costs no call of its own.  The
     terminal is not a stage: no counter counts its fold.  A last filter's
     passes enter no stage, so its fold keeps no count of them.
@@ -225,8 +217,8 @@ class _Sink(NamedTuple):
 
     accept: Callable[[int], None]
     result: Callable[[], int]
-    fold_map: Callable[[], tuple]
-    fold_filter: Callable[[], tuple]
+    fold_map: Callable[[], Callable[[int], None]]
+    fold_filter: Callable[[], Callable[[int], None]]
 
 
 def _sum_sink() -> _Sink:
@@ -243,11 +235,7 @@ def _sum_sink() -> _Sink:
         def accept(v):
             nonlocal acc
             acc += fn(v)
-
-        def bind(f):
-            nonlocal fn
-            fn = f
-        return accept, bind
+        return accept
 
     def fold_filter():
         fn = None
@@ -256,11 +244,7 @@ def _sum_sink() -> _Sink:
             nonlocal acc
             if fn(v):
                 acc += v
-
-        def bind(f):
-            nonlocal fn
-            fn = f
-        return accept, bind
+        return accept
 
     return _Sink(accept, lambda: wrap_i64(acc), fold_map, fold_filter)
 
@@ -279,11 +263,7 @@ def _count_sink() -> _Sink:
             nonlocal n
             fn(v)
             n += 1
-
-        def bind(f):
-            nonlocal fn
-            fn = f
-        return accept, bind
+        return accept
 
     def fold_filter():
         fn = None
@@ -292,11 +272,7 @@ def _count_sink() -> _Sink:
             nonlocal n
             if fn(v):
                 n += 1
-
-        def bind(f):
-            nonlocal fn
-            fn = f
-        return accept, bind
+        return accept
 
     return _Sink(accept, lambda: n, fold_map, fold_filter)
 
@@ -320,8 +296,8 @@ def build_chain(query: QueryExpr, datasets, counters: CounterSet,
     inner = [_Cell() if isinstance(s, Filter) else None
              for fm in query.stages if isinstance(fm, FlatMap) for s in fm.stages]
     accept, sites = _chain(sink.accept, query.stages, top, inner, datasets, cache, sink)
-    for lam, bind in sites:
-        bind(cache.bind(lam))
+    for lam, cell in sites:
+        cell.cell_contents = cache.bind(lam)
     head = _Head(accept)
     reads = []  # per slot: (slot, the cell of the flow entering it, counts applies)
 

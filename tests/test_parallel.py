@@ -256,6 +256,11 @@ def stage_counts(counters):
     return [(s.label, s.control_dispatches, s.lambda_applies) for s in counters.stages]
 
 
+def site_counts(counters):
+    return {site_id: (c.link_events, c.instantiations)
+            for site_id, c in counters.sites.items()}
+
+
 class TestFork:
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -264,7 +269,8 @@ class TestFork:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("terminal", [Terminal.SUM, Terminal.COUNT])
-    def test_matches_sequential_for_every_worker_count(self, terminal, forks):
+    def test_matches_sequential_for_every_worker_count(self, terminal, forks,
+                                                       monkeypatch):
         queries = [(sose_query(terminal), {"src": ints_dataset(big_source())})]
         fm = FlatMap("inner", (Filter(make_lambda(Cmp("lt", Param(0), Capture(0)),
                                                   captures=1)),
@@ -283,6 +289,13 @@ class TestFork:
                 counters = CounterSet()
                 assert run_parallel(q, ds, cfg, counters) == want
                 assert stage_counts(counters) == stage_counts(seq)
+                # the children's site counts come back pickled: the same
+                # config run inline, with no os.fork to call, counts as much
+                with monkeypatch.context() as m:
+                    m.delattr(os, "fork")
+                    inline = CounterSet()
+                    assert run_parallel(q, ds, cfg, inline) == want
+                assert site_counts(counters) == site_counts(inline)
                 fused_counters = CounterSet()
                 assert run_parallel(plan, ds, cfg, fused_counters) == want
                 assert fused_counters.control_dispatches == 0
