@@ -226,7 +226,7 @@ def compile_plan(plan: FusedPlan, datasets):
         # a count is the length of [lo, hi) clipped as a slice clips it
         em.line(f"return wrap_i64(sum({rows}))" if is_sum
                 else f"return len(range({em.bind(len(outer_ds))})[lo:hi])")
-        return _instance(em)
+        return em.build("run", ("lo", "hi"))
     body = plan.body if is_sum or _may_raise(plan.body) else None
     # maps folded into the outer element still fail per element, even when
     # the inner loop never evaluates them
@@ -254,9 +254,9 @@ def compile_plan(plan: FusedPlan, datasets):
     if body is not None:
         body = em.value(body, wrap=False)
     em.line(f"acc += {body}" if is_sum else "acc += 1")
-    em.depth = 2
+    em.depth = 1
     em.line("return wrap_i64(acc)" if is_sum else "return acc")
-    return _instance(em)
+    return em.build("run", ("lo", "hi"))
 
 
 def _loop(em: Emitter, target: str, rows: str, reads: tuple) -> None:
@@ -277,14 +277,6 @@ def _invariants(expr, wrap: bool = False) -> list:
         wrap = kind is Cmp or expr.op == "mod"
         return _invariants(expr.left, wrap) + _invariants(expr.right, wrap)
     return []
-
-
-def _instance(em: Emitter):
-    """Build the emitted run(lo, hi) and keep its source on it."""
-    make = em.build("run", ("lo", "hi"))
-    run = make()
-    run.source = make.source
-    return run
 
 
 def exec_fused(plan: FusedPlan, datasets, counters: CounterSet | None = None,

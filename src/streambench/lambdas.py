@@ -12,8 +12,15 @@ CallSiteCache accounts for separately:
   invocation    calling the instance evaluates the body (the engines charge
                 this to the owning stage's lambda_applies)
 
-Linking generates Python source for the body and compiles it once; each
-instance is a closure over the compiled function.  Instances must agree with
+Linking generates Python source for the body and compiles it once, to one
+flat function that takes the captures as its leading parameters: `def
+fn(x0):` or `def fn(c0, x0):`.  A non-capturing instance is that function
+itself; a capturing one binds the captures with types.MethodType, one bound
+method per capture (`instance`), as a JVM lambda is a small object holding
+its captures in front of shared method code.  Every instance of a site thus
+calls one function object, so CPython's specializing interpreter, which
+keys a call on the callee's function version, keeps the call site
+specialized from one capture event to the next.  Instances must agree with
 eval_scalar bit for bit; the test suite holds them to that.
 """
 
@@ -21,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from types import MethodType
 
 from .counters import CounterSet
 from .errors import ArityMismatch, InvalidExpression
@@ -104,18 +113,19 @@ class Emitter:
     """Lowers expression trees to the statements of one generated function.
 
     `params` names the variables Param(0), Param(1), ... read and `captures`
-    the ones Capture(0), ... read; both are bound by the caller's source.
-    Lines go into the function body at indent level `depth`, which a caller
-    emitting loops raises.  `_memo` maps each tree computed into a temp to
-    (temp, bit bound).  Every statement at one loop level precedes the loop
-    nested in it, so a temp is only reused where it was made or in a loop
-    nested there: a position its computation dominates.
+    the ones Capture(0), ... read; build() makes the captures the generated
+    function's leading parameters.  Lines go into the function body at
+    indent level `depth`, which a caller emitting loops raises.  `_memo`
+    maps each tree computed into a temp to (temp, bit bound).  Every
+    statement at one loop level precedes the loop nested in it, so a temp is
+    only reused where it was made or in a loop nested there: a position its
+    computation dominates.
     """
 
     def __init__(self, params: tuple, captures: tuple = ()):
         self.params = params
         self.captures = captures
-        self.depth = 2
+        self.depth = 1
         self.names = list(_HELPERS)
         self.values = list(_HELPERS.values())
         self.lines: list[str] = []
@@ -242,21 +252,20 @@ class Emitter:
         return self.value(expr)
 
     def build(self, name: str, params: tuple):
-        """Compile `def <name>(<params>):` over the emitted lines.
+        """Compile `def <name>(<captures>, <params>):` over the emitted lines.
 
-        Returns a maker: calling it with the capture values produces a new
-        instance of the function.  Bound names are the generated module's
-        globals, so an instance closes over its captures only.  The maker's
-        `source` attribute holds the generated text.
+        Returns the function, with the generated text as its `source`.
+        Bound names are the generated module's globals and the captures lead
+        the parameters, so one function serves every instance of a site
+        (`instance`).
         """
-        source = "\n".join((f"def make({', '.join(self.captures)}):",
-                            f"    def {name}({', '.join(params)}):", *self.lines,
-                            f"    return {name}\n"))
+        source = "\n".join((f"def {name}({', '.join((*self.captures, *params))}):",
+                            *self.lines, ""))
         scope = dict(zip(self.names, self.values))
         exec(compile(source, f"<streambench {name}>", "exec"), scope)
-        make = scope["make"]
-        make.source = source
-        return make
+        fn = scope[name]
+        fn.source = source
+        return fn
 
 
 def _operand(text: str) -> str:
@@ -283,8 +292,14 @@ def _symbol(table: dict, op: str) -> str:
         raise InvalidExpression(f"unknown op: {op!r}") from None
 
 
+def instance(fn, captures: tuple):
+    """`fn` with `captures` bound as its leading arguments: fn itself when
+    there are none, else one bound method per capture, all over fn."""
+    return reduce(MethodType, captures, fn)
+
+
 def _compile(expr: ScalarExpr, params: tuple, captures: int):
-    """Maker for f(*params) computing `expr`; the maker takes the captures."""
+    """f(*captures, *params) computing `expr`."""
     em = Emitter(params, tuple(f"c{i}" for i in range(captures)))
     em.expect(expr)
     em.line(f"return {em.value(expr)}")
@@ -293,12 +308,12 @@ def _compile(expr: ScalarExpr, params: tuple, captures: int):
 
 def compile_unary(expr: ScalarExpr, captures: tuple = ()):
     """Compile a one-parameter tree, captures bound to `captures`, to f(x)."""
-    return _compile(expr, ("x0",), len(captures))(*captures)
+    return instance(_compile(expr, ("x0",), len(captures)), captures)
 
 
 def compile_binary(expr: ScalarExpr):
     """Compile a capture-free two-parameter tree to a callable f(x0, x1)."""
-    return _compile(expr, ("x0", "x1"), 0)()
+    return _compile(expr, ("x0", "x1"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +331,8 @@ class CallSiteCache:
 
     def __init__(self, counters: CounterSet | None = None):
         self.counters = counters if counters is not None else CounterSet()
-        # site id -> (counters, instance), or (counters, template) when the
-        # site captures: template(*captures) makes an instance
+        # site id -> (counters, linked function); a non-capturing site's
+        # function is its one instance
         self._sites: dict[int, tuple] = {}
 
     def bind(self, lam: Lambda, captures: tuple = ()):
@@ -332,7 +347,7 @@ class CallSiteCache:
             raise ArityMismatch(
                 f"lambda captures {lam.captures} values, got {len(captures)}")
         ctr.instantiations += 1
-        return fn(*captures)
+        return instance(fn, captures)
 
     def rebinder(self, sites):
         """rebind(v), which binds a flat-map's inner lambdas to outer element v.
@@ -340,9 +355,10 @@ class CallSiteCache:
         `sites` holds one (lambda, cell) pair per inner stage (stage_cell).
         The first call binds every site through bind, which links and checks
         it; later ones count and write a new instance for each capturing
-        site into its cell, as bind would make it, with no lookup.
+        site into its cell, as bind would make it, with no lookup: one
+        MethodType(fn, v), a single allocation made in C.
         """
-        later = None  # after the first call: (counters, template, cell)
+        later = None  # after the first call: (counters, linked function, cell)
         def rebind(v):
             nonlocal later
             if later is None:
@@ -351,9 +367,9 @@ class CallSiteCache:
                 later = [(*self._sites[lam.site_id], cell)
                          for lam, cell in sites if lam.captures]
                 return
-            for ctr, template, cell in later:
+            for ctr, fn, cell in later:
                 ctr.instantiations += 1
-                cell.cell_contents = template(v)
+                cell.cell_contents = MethodType(fn, v)
         return rebind
 
     def _link(self, lam: Lambda) -> tuple:
@@ -363,9 +379,7 @@ class CallSiteCache:
         ctr.link_events += 1
         if lam.captures == 0:
             ctr.instantiations += 1
-            site = ctr, compile_unary(lam.body)
-        else:
-            site = ctr, _compile(lam.body, ("x0",), lam.captures)
+        site = ctr, _compile(lam.body, ("x0",), lam.captures)
         self._sites[lam.site_id] = site
         return site
 

@@ -20,7 +20,9 @@ would fault on each of them again after the join.  Below FORK_MIN_ROWS rows
 read, with one worker or one leaf, in a process with a second live thread
 (fork copies only the calling thread, and the locks the others hold), or
 where os.fork is missing, the workers run one after another in the calling
-process instead; values, counters and errors are the same either way.
+process instead; values, counters and errors are the same either way.  A
+fork that fails (EAGAIN or ENOMEM under a process or memory limit) leaves
+the shares not yet forked to the caller, which runs them after share 0.
 
 There is no shared mutable state until the single join point, where partial
 accumulators combine with a wrapping add and counters merge by addition.
@@ -148,8 +150,10 @@ def _child(wfd, run_share, work, datasets, share):
 
 
 def _fork_shares(run_share, work, datasets, shares):
-    """Outcomes of every share: share 0 here, each other in a forked child."""
+    """Outcomes of every share, in share order: share 0 here, each other in
+    a forked child, or here after share 0 once a fork has failed."""
     children = []
+    left = []  # the shares no child took
     try:
         for w in range(1, len(shares)):
             rfd, wfd = os.pipe()
@@ -158,24 +162,37 @@ def _fork_shares(run_share, work, datasets, shares):
             except OSError:
                 os.close(rfd)
                 os.close(wfd)
-                raise
+                left = shares[w:]
+                break
             if pid == 0:
                 _child(wfd, run_share, work, datasets, shares[w])
             os.close(wfd)
             children.append((w, pid, open(rfd, "rb")))
-        outcomes = [run_share(work, datasets, shares[0])]
+        here = _run_inline(run_share, work, datasets, [shares[0], *left])
     finally:
         ended = []
         for w, pid, pipe in children:
             with pipe:
                 payload = pipe.read()
             ended.append((w, os.waitpid(pid, 0)[1], payload))
+    outcomes = here[:1]
     for w, status, payload in ended:
         if not payload:
             raise WorkerFailed(
                 f"parallel worker {w} exited without a result "
                 f"(wait status {status:#x})")
         outcomes.append(pickle.loads(payload))
+    return outcomes + here[1:]
+
+
+def _run_inline(run_share, work, datasets, shares):
+    """Outcomes of shares run one after another here, up to the first error:
+    the shares after it hold only later leaves."""
+    outcomes = []
+    for share in shares:
+        outcomes.append(run_share(work, datasets, share))
+        if outcomes[-1][2] is not None:
+            break
     return outcomes
 
 
@@ -223,11 +240,7 @@ def run_parallel(target, datasets, config: ParallelConfig | None = None,
     if _may_fork(datasets, reads, workers, n):
         outcomes = _fork_shares(run_share, work, datasets, shares)
     else:
-        outcomes = []
-        for share in shares:
-            outcomes.append(run_share(work, datasets, share))
-            if outcomes[-1][2] is not None:
-                break  # the later shares hold only later leaves
+        outcomes = _run_inline(run_share, work, datasets, shares)
 
     for _, _, error in outcomes:
         if error is not None:

@@ -9,7 +9,10 @@ pull's 2k+1.  A flat-map fuses its inner loop into its own accept: there is no
 inner cursor, only inner accepts, built once with the function that builds
 the top-level chain, whose lambdas are rebound per outer element through the
 chain's rebind function (CallSiteCache.rebinder): that is where the capture
-events come from.
+events come from.  Per outer element the accept counts the inner source,
+rebinds, and calls the inner dataset's walk (query.py's `walker`), which
+hands every inner row to the first inner accept: no range to test, and on
+the ints layout no row boxed again.
 
 The terminal is not a stage.  The stage next to it (the last map or filter,
 or the last inner one when a flat-map ends the query) is built with the
@@ -170,15 +173,15 @@ def _flat_map(down, inner_ds, stages, flows, entered, cache, sink):
     first inner stage; `flows` holds each inner filter's flow (None for a
     map).  `sink` is the terminal when the flat-map ends the query.
     """
-    push = inner_ds.push
     width = len(inner_ds)
     first, sites = _chain(down, stages, flows, (), None, cache, sink)
     rebind = cache.rebinder(sites)
+    walk = inner_ds.walker(first)
 
     def accept(v):
         entered.n += width
         rebind(v)
-        push(first, 0, width)
+        walk()
     return accept
 
 

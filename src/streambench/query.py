@@ -27,6 +27,11 @@ layout it holds.  Nothing in it calls anything per element but `accept`.
   len(ds), ds.values()     the row count; the plain value list
   ds.push(accept, lo, hi)  accept(value) per row of [lo, hi), clipped as a
                            slice clips; no copy when that is every row
+  ds.walker(accept)        walk() -> accept(value) per row, every row, once
+                           per call: a flat-map's inner rows, walked once per
+                           outer element; the ints layout boxes its rows once
+                           per walker, the refs layout reads each record's
+                           `r.value` on every walk
   ds.reader(at)            pull's element read: get() -> the value of row
                            at[0], where pull's position for "no element"
                            raises GetBeforeAdvance when used as an index
@@ -100,9 +105,17 @@ class IntsDataset:
 
     def push(self, accept, lo: int, hi: int) -> None:
         data = self.data
-        # a flat-map walks its inner rows per outer element: copy none
+        # a whole run reads the array itself: a slice would copy all of it
         for v in data if lo == 0 and hi >= len(data) else data[lo:hi]:
             accept(v)
+
+    def walker(self, accept):
+        rows = list(self.data)  # boxed once, not once per walk
+
+        def walk():
+            for v in rows:
+                accept(v)
+        return walk
 
     def reader(self, at):
         data = self.data
@@ -141,6 +154,14 @@ class RefsDataset:
         # a list slice increfs every record: walk the list when it is all
         for r in data if lo == 0 and hi >= len(data) else data[lo:hi]:
             accept(r.value)
+
+    def walker(self, accept):
+        data = self.data
+
+        def walk():
+            for r in data:
+                accept(r.value)
+        return walk
 
     def reader(self, at):
         data = self.data

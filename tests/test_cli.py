@@ -213,7 +213,7 @@ class TestShowSource:
         assert code == 0
         plan, source = out.split("# source refs\n")
         assert plan.endswith("acc: count(init=0)\n")
-        assert source.startswith("def make():\n    def run(lo, hi):\n")
+        assert source.startswith("def run(lo, hi):\n")
         assert "x0 = r.value" in source
 
 

@@ -27,6 +27,7 @@ from streambench.lambdas import (
     compile_unary,
     is_capturing,
     make_lambda,
+    stage_cell,
 )
 from streambench.query import Filter, Map, Terminal, build_query, ints_dataset
 
@@ -271,6 +272,55 @@ class TestCallSites:
         cache.bind(lam, (6,))
         assert counters.link_events == 1
         assert counters.instantiations == 2
+
+
+class TestInstanceShape:
+    """A site links to one flat function, captures first; an instance is
+    that function, or a new bound method over it per capture event."""
+
+    SCALED = Arith("mul", Param(0), Capture(0))
+
+    def test_capturing_binds_are_distinct_over_one_function(self):
+        cache = CallSiteCache()
+        lam = make_lambda(self.SCALED, captures=1)
+        a, b = cache.bind(lam, (2,)), cache.bind(lam, (3,))
+        assert a is not b
+        assert a.__func__ is b.__func__
+        assert (a(10), b(10)) == (20, 30)
+        assert cache.stats(lam.site_id) == (1, 2)
+
+    def test_rebinds_write_a_new_instance_over_one_function(self):
+        cache = CallSiteCache()
+        lam = make_lambda(self.SCALED, captures=1)
+
+        def stage():
+            fn = None
+            return lambda v: fn(v)
+
+        applies = stage()
+        cell = stage_cell(applies)
+        rebind = cache.rebinder([(lam, cell)])
+        instances, results = [], []
+        for v in (2, 3, 4):  # the first bind, then two later ones
+            rebind(v)
+            instances.append(cell.cell_contents)
+            results.append(applies(10))
+        assert results == [20, 30, 40]
+        assert len({id(f) for f in instances}) == 3
+        assert {f.__func__ for f in instances} == {instances[0].__func__}
+        assert cache.stats(lam.site_id) == (1, 3)
+
+    def test_linked_sources_take_captures_first(self):
+        cache = CallSiteCache()
+        plain = cache.bind(make_lambda(Arith("add", Param(0), Const(1))))
+        capturing = cache.bind(make_lambda(self.SCALED, captures=1), (7,))
+        assert plain.source.startswith("def fn(x0):\n")
+        assert capturing.__func__.source.startswith("def fn(c0, x0):\n")
+        assert compile_unary(self.SCALED, (7,)).source.startswith("def fn(c0, x0):\n")
+        two = Arith("add", Capture(0), Capture(1))
+        assert compile_unary(two, (1, 2)).source.startswith("def fn(c0, c1, x0):\n")
+        product = Arith("mul", Param(0), Param(1))
+        assert compile_binary(product).source.startswith("def fn(x0, x1):\n")
 
 
 class TestApplyLambda:

@@ -38,6 +38,14 @@ class BoxedDataset:
         for v in self.data[lo:hi]:
             accept(v)
 
+    def walker(self, accept):
+        data = self.data
+
+        def walk():
+            for v in data:
+                accept(v)
+        return walk
+
     def reader(self, at):
         data = self.data
         return lambda: data[at[0]]
@@ -48,6 +56,16 @@ class BoxedDataset:
 
     def values(self):
         return list(self.data)
+
+
+@pytest.mark.parametrize("layout", [ints_dataset, refs_dataset, BoxedDataset])
+def test_walker_hands_every_row_on_every_walk(layout):
+    seen = []
+    walk = layout([3, -1, 7]).walker(seen.append)
+    assert seen == []  # making the walker reads no row
+    walk()
+    walk()
+    assert seen == [3, -1, 7, 3, -1, 7]
 
 
 def relaid(datasets, layout):

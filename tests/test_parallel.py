@@ -1,5 +1,6 @@
 """Parallel runs: leaf splitting, determinism, counter conservation."""
 
+import errno
 import os
 import random
 import sys
@@ -392,6 +393,52 @@ class TestFork:
         with pytest.raises(DivisionByZero, match=fr"rows \[{leaf.lo}, {leaf.hi}\)"):
             run_parallel(q, ds, cfg)
         assert len(forks) == 2
+
+    @pytest.mark.parametrize("fails_at", [1, 2])
+    def test_failed_fork_runs_the_shares_left_inline(self, fails_at, monkeypatch):
+        # at 4 workers: the first fork fails, or the second after one child
+        real_fork = os.fork
+        calls = []
+
+        def failing_fork():
+            calls.append(None)
+            if len(calls) == fails_at:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return real_fork()
+
+        fm = FlatMap("inner", (Filter(make_lambda(Cmp("lt", Param(0), Capture(0)),
+                                                  captures=1)),
+                               Map(make_lambda(SCALED, captures=1))))
+        queries = [(sose_query(), {"src": ints_dataset(big_source())}),
+                   (build_query("src", [fm], Terminal.COUNT),
+                    {"src": ints_dataset(big_source()[:BIG // 3]),
+                     "inner": ints_dataset([-500, 3, 700])})]
+        cfg = ParallelConfig(workers=4)
+        for q, ds in queries:
+            with monkeypatch.context() as m:
+                m.delattr(os, "fork")
+                inline = CounterSet()
+                want = run_parallel(q, ds, cfg, inline)
+            for target in (q, optimize(q)):
+                calls.clear()
+                counters = CounterSet()
+                with monkeypatch.context() as m:
+                    m.setattr(os, "fork", failing_fork)
+                    assert run_parallel(target, ds, cfg, counters) == want
+                assert len(calls) == fails_at
+                if target is q:
+                    assert stage_counts(counters) == stage_counts(inline)
+                    assert site_counts(counters) == site_counts(inline)
+        # a share run inline after a failed fork still raises its error
+        mod_by_x = make_lambda(Arith("mod", Const(100), Param(0)))
+        values = list(range(1, BIG + 1))
+        values[-1] = 0  # in the last share, which no child takes
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", failing_fork)
+            calls.clear()
+            with pytest.raises(DivisionByZero):
+                run_parallel(build_query("src", [Map(mod_by_x)], Terminal.SUM),
+                             {"src": ints_dataset(values)}, cfg)
 
     def test_child_exiting_without_a_result_is_named(self, forks, monkeypatch):
         parent = os.getpid()

@@ -200,6 +200,18 @@ class TestFlatMap:
         q, ds = self.make_cart([1, 2, 3], [])
         assert run_push(q, ds) == 0
 
+    def test_refs_inner_rows_are_read_on_every_walk(self):
+        fm = FlatMap("inner", (Map(make_lambda(SCALED, captures=1)),))
+        q = build_query("outer", [fm], Terminal.SUM)
+        ds = {"outer": ints_dataset([1, 2]), "inner": refs_dataset([10, 20])}
+        chain, sink = build_chain(q, ds, CounterSet())
+        cursor = SplitCursor(ds["outer"])
+        assert try_advance(cursor, chain)
+        assert sink.result() == 1 * (10 + 20)
+        ds["inner"].data[0].value = 100  # between two outer elements
+        assert try_advance(cursor, chain)
+        assert sink.result() == 1 * (10 + 20) + 2 * (100 + 20)
+
 
 class TestAgainstOracle:
     def test_random_pipelines(self):
