@@ -39,7 +39,7 @@ from .exprs import (
     max_capture_slot,
     max_param_index,
 )
-from .lambdas import Emitter, mod_by_const
+from .lambdas import Emitter, fold, mod_by_const, truth
 from .query import (
     Filter,
     FlatMap,
@@ -208,37 +208,49 @@ def compile_plan(plan: FusedPlan, datasets):
     result: loops, guards, the forced outer element and the accumulator are
     all inline, and `run.source` holds the generated text.  The fold adds
     the body unwrapped and wraps once at the end.  Each dataset writes its
-    own loop header (query.py).  A subtree of the inner loop that reads no
-    x1 and cannot raise is computed before it, once per outer element; one
-    that can raise stays, since an empty or fully filtered inner source must
-    not raise.  Under a count terminal the body is evaluated only when it
-    can raise.  A single guard-free loop needs no loop at all for a count
-    whose body cannot raise, nor for an identity sum over rows that are the
-    values: that one keeps the builtin sum.
+    own loop header (query.py).  Every guard, the body and the forced outer
+    element go through lambdas.fold first: a guard that folds to true is
+    dropped, and one that folds to false empties the plan, so run is
+    `return 0` with no loop, unless some tree of the plan can raise; then
+    the loop stays and raises where the other engines do.  A subtree of the
+    inner loop that reads no x1 and cannot raise is computed before it, once
+    per outer element; one that can raise stays, since an empty or fully
+    filtered inner source must not raise.  Under a count terminal the body
+    is evaluated only when it can raise.  A single guard-free loop needs no
+    loop at all for a count whose body cannot raise, nor for an identity sum
+    over rows that are the values: that one keeps the builtin sum.
     """
     outer_ds = resolve_dataset(datasets, plan.outer.source)
     is_sum = plan.terminal is Terminal.SUM
     em = Emitter(("x0",))
+    outer_guards = tuple(map(fold, plan.outer.guards))
+    inner_guards = tuple(map(fold, plan.inner.guards)) if plan.inner else ()
+    body = fold(plan.body)
+    # maps folded into the outer element still fail per element, even when
+    # the inner loop never evaluates them
+    forced = fold(plan.outer_element) if plan.inner is not None else None
+    if forced is not None and not _may_raise(forced):
+        forced = None
+    guards = (*outer_guards, *inner_guards)
+    if False in map(truth, guards) and forced is None and not any(
+            map(_may_raise, (*guards, body))):
+        em.line("return 0")
+        return em.build("run", ("lo", "hi"))
+    outer_guards, inner_guards = ([g for g in level if truth(g) is not True]
+                                  for level in (outer_guards, inner_guards))
     target, rows, reads = outer_ds.fused_loop(em.bind, "x0", False)
-    if plan.inner is None and not plan.outer.guards and (
-            plan.body == _IDENTITY and not reads if is_sum
-            else not _may_raise(plan.body)):
+    if plan.inner is None and not outer_guards and (
+            body == _IDENTITY and not reads if is_sum else not _may_raise(body)):
         # a count is the length of [lo, hi) clipped as a slice clips it
         em.line(f"return wrap_i64(sum({rows}))" if is_sum
                 else f"return len(range({em.bind(len(outer_ds))})[lo:hi])")
         return em.build("run", ("lo", "hi"))
-    body = plan.body if is_sum or _may_raise(plan.body) else None
-    # maps folded into the outer element still fail per element, even when
-    # the inner loop never evaluates them
-    inner_guards, forced = (), None
-    if plan.inner is not None:
-        inner_guards = plan.inner.guards
-        if _may_raise(plan.outer_element):
-            forced = plan.outer_element
-    em.expect(*plan.outer.guards, forced, *inner_guards, body)
+    if not is_sum and not _may_raise(body):
+        body = None
+    em.expect(*outer_guards, forced, *inner_guards, body)
     em.line("acc = 0")
     _loop(em, target, rows, reads)
-    for guard in plan.outer.guards:
+    for guard in outer_guards:
         em.line(f"if not {em.value(guard)}: continue")
     if plan.inner is not None:
         if forced is not None:

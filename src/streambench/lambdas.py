@@ -27,6 +27,7 @@ eval_scalar bit for bit; the test suite holds them to that.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from types import MethodType
@@ -94,19 +95,59 @@ def is_capturing(lam: Lambda) -> bool:
 # where something observes them non-congruently: a mod operand, a comparison
 # side or the value a lambda instance returns.  A static bound on each value's
 # bit width wraps early past WRAP_BUDGET bits, so no chain builds huge ints.
-# A subtree met more than once is computed once into a temp and reused.  The
-# source holds only names the emitter makes itself, op symbols from the
-# tables below and indentation: every Const value, capture value and dataset
-# is bound to a name, so no text of a tree value ever reaches exec().
+# A subtree met more than once is computed once into a temp and reused, and
+# an operand whose inline text nests NEST_LIMIT parentheses deep goes to a
+# temp too, so no chain reaches the parser's nesting limit.  The source holds
+# only names the emitter makes itself, op symbols from the tables below and
+# indentation: every Const value, capture value and dataset is bound to a
+# name, so no text of a tree value ever reaches exec().
+#
+# Before any of that, fold() evaluates at compile time every subtree that
+# reads no parameter and no capture, with the op table below: an add, sub,
+# mul or mod of two constants becomes one Const, and a comparison of two
+# constants is emitted as a bound bool.  A mod by a constant zero never
+# folds, so it still raises DivisionByZero per element, in order.
 
 _ARITH_SYMBOL = {"add": "+", "sub": "-", "mul": "*"}
 _CMP_SYMBOL = {"eq": "==", "lt": "<"}
+_FOLD_OP = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+            "eq": operator.eq, "lt": operator.lt}
 _ZERO = Const(0)
 _HELPERS = {"MIN": I64_MIN, "MAX": I64_MAX, "wrap_i64": wrap_i64,
             "mod_i64": mod_i64}
 # widest unwrapped value, in bits, an add/sub/mul may build before its
 # operands are wrapped; a leaf or a wrapped value has 64
 WRAP_BUDGET = 256
+# deepest parenthesis nesting an inline value may reach before it goes to a
+# temp; CPython's parser refuses 200
+NEST_LIMIT = 50
+
+
+def fold(expr: ScalarExpr) -> ScalarExpr:
+    """`expr` with its constant subtrees evaluated: an Arith whose operands
+    fold to Consts becomes the Const of its wrapped value, unless it is a mod
+    by zero, which must raise when it runs.  A Cmp keeps its sides, folded;
+    `truth` reads a Cmp of two Consts.  A tree with nothing to fold is
+    returned as it is."""
+    kind = type(expr)
+    if kind is not Arith and kind is not Cmp:
+        return expr
+    left, right = fold(expr.left), fold(expr.right)
+    if kind is Arith and type(left) is Const and type(right) is Const:
+        if expr.op != "mod":
+            return Const(wrap_i64(_FOLD_OP[expr.op](left.value, right.value)))
+        if right.value:
+            return Const(mod_i64(left.value, right.value))
+    if left is expr.left and right is expr.right:
+        return expr
+    return kind(expr.op, left, right)
+
+
+def truth(expr: ScalarExpr):
+    """The value of a comparison of two constants; None for any other tree."""
+    if type(expr) is Cmp and type(expr.left) is Const and type(expr.right) is Const:
+        return _FOLD_OP[expr.op](expr.left.value, expr.right.value)
+    return None
 
 
 class Emitter:
@@ -120,6 +161,12 @@ class Emitter:
     statement at one loop level precedes the loop nested in it, so a temp is
     only reused where it was made or in a loop nested there: a position its
     computation dominates.
+
+    Callers pass trees through fold() first, so a constant subtree reaches
+    the emitter as one Const, bound to a name like any other; a comparison
+    of two Consts becomes a bound True or False.  Nothing else folds: a mod
+    by a constant zero, and any subtree that reads a parameter or a
+    capture, are computed where they run.
     """
 
     def __init__(self, params: tuple, captures: tuple = ()):
@@ -175,37 +222,41 @@ class Emitter:
         temp with 0 instead, so the remainder is computed once.
         """
         if type(expr) is Cmp:
+            known = truth(expr)
+            if known is not None:
+                return self.bind(known)
             if expr.op == "eq" and _ZERO in (expr.left, expr.right):
                 return f"{self._zero_side(expr.left)} == {self._zero_side(expr.right)}"
             sym = _symbol(_CMP_SYMBOL, expr.op)
             return f"{self.value(expr.left)} {sym} {self.value(expr.right)}"
-        text, bits = self._arith(expr)
+        text, bits, _ = self._arith(expr)
         return self._wrapped(expr, text, bits) if wrap else text
 
     def hoist(self, expr: ScalarExpr, wrap: bool) -> None:
         """Compute an Arith tree into a temp here, for later code to reuse;
         wrap it here too when the code after observes it wrapped."""
-        text, bits = self._arith(expr)
+        text, bits, _ = self._arith(expr)
         if expr not in self._memo:
             self._temp(expr, text, bits)
         if wrap:
             self._wrapped(expr, *self._memo[expr])
 
     def _arith(self, expr: ScalarExpr):
-        """(text, bits): text of a value congruent to expr's mod 2**64, and
-        a bound 2**bits on its magnitude."""
+        """(text, bits, nest): text of a value congruent to expr's mod 2**64,
+        a bound 2**bits on its magnitude, and the parenthesis nesting of the
+        text as an operand (0 for a name)."""
         kind = type(expr)
         if kind is Param:
-            return _slot(self.params, expr.index, "param"), 64
+            return _slot(self.params, expr.index, "param"), 64, 0
         if kind is Capture:
-            return _slot(self.captures, expr.slot, "capture slot"), 64
+            return _slot(self.captures, expr.slot, "capture slot"), 64, 0
         if kind is Const:
-            return self.bind(expr.value), 64
+            return self.bind(expr.value), 64, 0
         if kind is not Arith:
             raise InvalidExpression(f"not an expression node: {type(expr).__name__}")
         hit = self._memo.get(expr)
         if hit is not None:
-            return hit
+            return *hit, 0
         if expr.op == "mod":
             left = self.value(expr.left)
             if mod_by_const(expr):
@@ -213,18 +264,21 @@ class Emitter:
                 text = f"{left} % {k} if {left} >= 0 else -(-{left} % {k})"
             else:
                 text = f"mod_i64({left}, {self.value(expr.right)})"
-            return self._temp(expr, text, 64)
+            return *self._temp(expr, text, 64), 0
         sym = _symbol(_ARITH_SYMBOL, expr.op)
-        (left, lbits), (right, rbits) = self._arith(expr.left), self._arith(expr.right)
+        (left, lbits, lnest), (right, rbits, rnest) = \
+            self._arith(expr.left), self._arith(expr.right)
         bits = lbits + rbits if sym == "*" else max(lbits, rbits) + 1
         if bits > WRAP_BUDGET:
             left = self._wrapped(expr.left, left, lbits)
             right = self._wrapped(expr.right, right, rbits)
             bits = 128 if sym == "*" else 65
+            lnest = rnest = 0
         text = f"{_operand(left)} {sym} {_operand(right)}"
-        if expr in self._shared:
-            return self._temp(expr, text, bits)
-        return text, bits
+        nest = 1 + max(lnest, rnest)
+        if expr in self._shared or nest >= NEST_LIMIT:
+            return *self._temp(expr, text, bits), 0
+        return text, bits, nest
 
     def _wrapped(self, expr: ScalarExpr, text: str, bits: int) -> str:
         """The value `_arith` gave for expr, reduced to signed 64 bits."""
@@ -301,6 +355,7 @@ def instance(fn, captures: tuple):
 def _compile(expr: ScalarExpr, params: tuple, captures: int):
     """f(*captures, *params) computing `expr`."""
     em = Emitter(params, tuple(f"c{i}" for i in range(captures)))
+    expr = fold(expr)
     em.expect(expr)
     em.line(f"return {em.value(expr)}")
     return em.build("fn", params)

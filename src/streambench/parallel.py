@@ -21,7 +21,8 @@ read, with one worker or one leaf, in a process with a second live thread
 (fork copies only the calling thread, and the locks the others hold), or
 where os.fork is missing, the workers run one after another in the calling
 process instead; values, counters and errors are the same either way.  A
-fork that fails (EAGAIN or ENOMEM under a process or memory limit) leaves
+fork that fails (EAGAIN or ENOMEM under a process or memory limit), or a
+pipe that is refused (EMFILE or ENFILE under a descriptor limit), leaves
 the shares not yet forked to the caller, which runs them after share 0.
 
 There is no shared mutable state until the single join point, where partial
@@ -151,17 +152,18 @@ def _child(wfd, run_share, work, datasets, share):
 
 def _fork_shares(run_share, work, datasets, shares):
     """Outcomes of every share, in share order: share 0 here, each other in
-    a forked child, or here after share 0 once a fork has failed."""
+    a forked child, or here after share 0 once a pipe or a fork has failed."""
     children = []
     left = []  # the shares no child took
     try:
         for w in range(1, len(shares)):
-            rfd, wfd = os.pipe()
+            fds = ()
             try:
+                fds = rfd, wfd = os.pipe()
                 pid = os.fork()
             except OSError:
-                os.close(rfd)
-                os.close(wfd)
+                for fd in fds:
+                    os.close(fd)
                 left = shares[w:]
                 break
             if pid == 0:

@@ -79,6 +79,29 @@ def predicates(n_params: int = 1, n_captures: int = 0):
     return st.builds(Cmp, st.sampled_from(("eq", "lt")), sides, sides)
 
 
+def constant_heavy_trees(n_params: int = 1, n_captures: int = 0):
+    """Arith trees whose leaves are constants 55% of the time, as in the
+    adhoc workload's grammar, so whole subtrees, and whole guards, fold."""
+    const = st.builds(Const, edge_values)
+    others = [st.builds(Param, st.integers(0, n_params - 1))]
+    if n_captures:
+        others.append(st.builds(Capture, st.integers(0, n_captures - 1)))
+    leaf = st.integers(0, 99).flatmap(
+        lambda roll: const if roll < 55 else st.one_of(*others))
+    return st.recursive(leaf, lambda kids: st.builds(
+        Arith, st.sampled_from(ARITH), kids, kids), max_leaves=12)
+
+
+def constant_heavy_stages(captures: int = 0):
+    """One to three maps and filters over constant-heavy trees."""
+    tree = constant_heavy_trees(n_captures=captures)
+    maps = st.builds(lambda t: Map(make_lambda(t, captures=captures)), tree)
+    filters = st.builds(
+        lambda op, a, b: Filter(make_lambda(Cmp(op, a, b), captures=captures)),
+        st.sampled_from(("eq", "lt")), tree, tree)
+    return st.lists(st.one_of(maps, filters), min_size=1, max_size=3)
+
+
 class TestCompiledEqualsReference:
     @given(trees(n_captures=1), edge_values, edge_values)
     def test_unary(self, tree, x, c):
@@ -94,6 +117,16 @@ class TestCompiledEqualsReference:
     def test_predicate(self, tree, x):
         got = run_to_outcome(lambda: compile_unary(tree)(x))
         assert got == run_to_outcome(lambda: eval_scalar(tree, (x,)))
+
+    @given(constant_heavy_trees(n_captures=1), constant_heavy_trees(n_captures=1),
+           edge_values, edge_values)
+    def test_constant_heavy(self, tree, other, x, c):
+        got = run_to_outcome(lambda: compile_unary(tree, (c,))(x))
+        assert got == run_to_outcome(lambda: eval_scalar(tree, (x,), (c,)))
+        for op in ("eq", "lt"):
+            pred = Cmp(op, tree, other)
+            got = run_to_outcome(lambda: compile_unary(pred, (c,))(x))
+            assert got == run_to_outcome(lambda: eval_scalar(pred, (x,), (c,)))
 
     def test_mul_chain_past_budget(self):
         # x**4 fits the budget and wraps once, at the return; longer chains
@@ -160,6 +193,16 @@ class TestFusedEqualsOracle:
         q = build_query("src", [Map(make_lambda(f)), FlatMap("inner", inner_stages)],
                         terminal)
         check_slices(q, values, make, make_inner(inner_values))
+
+    @settings(deadline=None)
+    @given(constant_heavy_stages(), st.none() | constant_heavy_stages(captures=1),
+           st.lists(edge_values, max_size=8), st.lists(edge_values, max_size=4),
+           st.sampled_from(Terminal), layouts)
+    def test_constant_heavy_pipeline(self, outer, inner, values, inner_values,
+                                     terminal, make):
+        stages = outer if inner is None else [*outer, FlatMap("inner", tuple(inner))]
+        check_slices(build_query("src", stages, terminal), values, make,
+                     None if inner is None else make(inner_values))
 
     @pytest.mark.parametrize("make", [ints_dataset, refs_dataset])
     @pytest.mark.parametrize("terminal", list(Terminal))
@@ -260,6 +303,94 @@ class TestGeneratedText:
         run = compile_plan(optimize(q), ds)
         assert "x1 = r.value" in run.source
         assert run(0, 2) == 60
+
+
+class TestFolding:
+    def test_constant_product_folds_to_its_wrapped_value(self):
+        for a, b in ((3, 5), (1 << 40, 1 << 40), (I64_MAX, I64_MIN), (-(1 << 62), 7)):
+            body = Arith("add", Arith("mul", Const(a), Const(b)), X)
+            fn = CallSiteCache().bind(make_lambda(body))
+            assert "*" not in fn.source
+            for x in (0, 1, I64_MAX, I64_MIN):
+                assert fn(x) == eval_scalar(body, (x,))
+
+    def test_constant_comparison_returns_a_bool(self):
+        assert compile_unary(Cmp("lt", Const(1), Const(2)))(0) is True
+        assert compile_unary(Cmp("eq", Arith("mul", Const(I64_MAX), Const(2)),
+                                 Const(-2)))(5) is True
+        fn = CallSiteCache().bind(make_lambda(Cmp("lt", Const(2), Const(1))))
+        assert fn(0) is False
+        assert "<" not in fn.source
+
+    @pytest.mark.parametrize("make", [ints_dataset, refs_dataset])
+    def test_mod_by_constant_zero_is_never_folded(self, make):
+        fails = Arith("add", X, Arith("mod", Const(5), Const(0)))
+        assert "mod_i64(" in lambdas._compile(fails, ("x0",), 0).source
+        q = build_query("src", [Map(make_lambda(fails))], Terminal.SUM)
+        outcomes = engine_outcomes(q, {"src": make([1, 2])})
+        assert set(outcomes.values()) == {("err", DivisionByZero)}, outcomes
+        # it raises per element: no element, or none kept, raises nothing
+        dropped = build_query("src", [Filter(make_lambda(Cmp("lt", X, X))),
+                                      Map(make_lambda(fails))], Terminal.SUM)
+        for query, rows in ((q, []), (dropped, [1, 2])):
+            outcomes = engine_outcomes(query, {"src": make(rows)})
+            assert set(outcomes.values()) == {("ok", 0)}, outcomes
+
+    @pytest.mark.parametrize("terminal", list(Terminal))
+    def test_guard_folding_to_false_empties_the_plan(self, terminal):
+        never = Filter(make_lambda(Cmp("lt", Arith("mul", Const(3), Const(4)), Const(5))))
+        inner_never = Filter(make_lambda(Cmp("eq", Const(1), Const(2)), captures=1))
+        values = [I64_MIN, -3, 0, 7, I64_MAX]
+        inner = ints_dataset([1, 0, -1])
+        for stages in ([Map(make_lambda(Arith("mod", X, Const(3)))), never],
+                       [never, Map(make_lambda(Arith("mul", X, X)))],
+                       [FlatMap("inner", (Map(make_lambda(Arith("add", X, C),
+                                                          captures=1)), inner_never))]):
+            q = build_query("src", stages, terminal)
+            ds = {"src": ints_dataset(values), "inner": inner}
+            assert "for" not in compile_plan(optimize(q), ds).source
+            check_slices(q, values, ints_dataset, inner)
+
+    @pytest.mark.parametrize("terminal", list(Terminal))
+    def test_guard_folding_to_false_keeps_a_loop_that_can_raise(self, terminal):
+        # x mod x raises at x = 0 before the guard drops the element, so the
+        # loop stays: ahead of the guard, in it, or as the outer element
+        mod_x = Arith("mod", X, X)
+        never = Filter(make_lambda(Cmp("lt", Const(2), Const(1))))
+        inner_never = Filter(make_lambda(Cmp("lt", Const(2), Const(1)), captures=1))
+        values = [5, -3, 0, 7]
+        inner = ints_dataset([1, 2])
+        for stages in ([Map(make_lambda(mod_x)), never],
+                       [Filter(make_lambda(Cmp("eq", mod_x, Const(0)))), never],
+                       [Map(make_lambda(mod_x)), FlatMap("inner", (inner_never,))]):
+            q = build_query("src", stages, terminal)
+            ds = {"src": ints_dataset(values), "inner": inner}
+            assert "for" in compile_plan(optimize(q), ds).source
+            assert run_to_outcome(lambda: exec_fused(optimize(q), ds)) == \
+                ("err", DivisionByZero)
+            check_slices(q, values, ints_dataset, inner)
+
+    @pytest.mark.parametrize("make", [ints_dataset, refs_dataset])
+    def test_guard_folding_to_true_is_dropped(self, make):
+        always = Filter(make_lambda(Cmp("eq", Arith("sub", Const(9), Const(4)), Const(5))))
+        q = build_query("src", [always, Map(make_lambda(Arith("add", X, Const(1))))],
+                        Terminal.COUNT)
+        # no guard left, and the body cannot raise: a count needs no loop
+        source = compile_plan(optimize(q), {"src": make([1])}).source
+        assert "for" not in source
+        check_slices(q, [4, -4, 0], make)
+
+    def test_long_add_chain_stays_under_the_parser_nesting_limit(self, monkeypatch):
+        # with a wide budget nothing wraps, so only the nesting cap
+        # keeps 240 nested additions out of one expression
+        monkeypatch.setattr(lambdas, "WRAP_BUDGET", 1024)
+        inc = Arith("add", X, Const(1))
+        q = build_query("src", [Map(make_lambda(inc)) for _ in range(240)], Terminal.SUM)
+        ds = {"src": ints_dataset([1, -5, I64_MAX, I64_MIN])}
+        assert compile_plan(optimize(q), ds)(0, 4) == oracle_run(q, ds)
+        chain = reduce(lambda acc, _: Arith("add", acc, X), range(240), X)
+        for x in (3, I64_MAX, I64_MIN):
+            assert compile_unary(chain)(x) == eval_scalar(chain, (x,))
 
 
 class TestParallelSingleLeaf:

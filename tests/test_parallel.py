@@ -397,14 +397,26 @@ class TestFork:
     @pytest.mark.parametrize("fails_at", [1, 2])
     def test_failed_fork_runs_the_shares_left_inline(self, fails_at, monkeypatch):
         # at 4 workers: the first fork fails, or the second after one child
-        real_fork = os.fork
+        self.check_refusal(monkeypatch, "fork", errno.EAGAIN, fails_at)
+
+    @pytest.mark.parametrize("fails_at", [1, 2])
+    def test_refused_pipe_runs_the_shares_left_inline(self, fails_at, monkeypatch):
+        # at 4 workers: the first pipe is refused, or the second after one child
+        self.check_refusal(monkeypatch, "pipe", errno.EMFILE, fails_at)
+
+    @staticmethod
+    def check_refusal(monkeypatch, name, code, fails_at):
+        """With os.<name> raising OSError(code) on call `fails_at`, a 4-worker
+        run gives the inline values and counts, and a share left to the
+        caller still raises its error."""
+        real = getattr(os, name)
         calls = []
 
-        def failing_fork():
+        def refusing():
             calls.append(None)
             if len(calls) == fails_at:
-                raise OSError(errno.EAGAIN, "fork refused")
-            return real_fork()
+                raise OSError(code, f"{name} refused")
+            return real()
 
         fm = FlatMap("inner", (Filter(make_lambda(Cmp("lt", Param(0), Capture(0)),
                                                   captures=1)),
@@ -423,18 +435,18 @@ class TestFork:
                 calls.clear()
                 counters = CounterSet()
                 with monkeypatch.context() as m:
-                    m.setattr(os, "fork", failing_fork)
+                    m.setattr(os, name, refusing)
                     assert run_parallel(target, ds, cfg, counters) == want
                 assert len(calls) == fails_at
                 if target is q:
                     assert stage_counts(counters) == stage_counts(inline)
                     assert site_counts(counters) == site_counts(inline)
-        # a share run inline after a failed fork still raises its error
+        # a share run inline after a refusal still raises its error
         mod_by_x = make_lambda(Arith("mod", Const(100), Param(0)))
         values = list(range(1, BIG + 1))
         values[-1] = 0  # in the last share, which no child takes
         with monkeypatch.context() as m:
-            m.setattr(os, "fork", failing_fork)
+            m.setattr(os, name, refusing)
             calls.clear()
             with pytest.raises(DivisionByZero):
                 run_parallel(build_query("src", [Map(mod_by_x)], Terminal.SUM),
