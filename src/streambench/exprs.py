@@ -83,6 +83,49 @@ class Capture:
             raise InvalidExpression(f"negative capture slot: {self.slot}")
 
 
+def _record(node, inside: str) -> None:
+    """Check an Arith or Cmp node's operands, then record on it what walks
+    ask of a tree (`_facts`): the highest Param index and Capture slot it
+    reads, and whether evaluating it can raise.  Each is O(1) from its
+    operands', as the cached hash is, so a tree that shares subtrees costs
+    its distinct nodes, never its paths."""
+    left, right = node.left, node.right
+    for side in (left, right):
+        if isinstance(side, Cmp):
+            raise InvalidExpression(f"comparison nested inside {inside}")
+        if not isinstance(side, (Const, Param, Capture, Arith)):
+            raise InvalidExpression(f"bad operand: {side!r}")
+    lp, lc, lr = _facts(left)
+    rp, rc, rr = _facts(right)
+    object.__setattr__(node, "_facts", (
+        lp if lp > rp else rp, lc if lc > rc else rc,
+        lr or rr or (node.op == "mod" and not mod_by_const(node))))
+
+
+def _equal(a, b) -> bool:
+    """a == b for two Arith or Cmp nodes of one class.  Each pair of nodes is
+    compared once, so two equal trees that share subtrees cost their
+    distinct nodes, never their paths."""
+    done = set()
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        kind = type(x)
+        if kind is not type(y):
+            return False
+        if kind is Arith or kind is Cmp:
+            if x.op != y.op or (kind is Arith and x._hash != y._hash):
+                return False
+            if (id(x), id(y)) not in done:
+                done.add((id(x), id(y)))
+                todo += ((x.right, y.right), (x.left, y.left))
+        elif x != y:
+            return False
+    return True
+
+
 @dataclass(frozen=True, slots=True)
 class Arith:
     """A wrapping arithmetic node.  Operands are themselves arithmetic."""
@@ -91,20 +134,22 @@ class Arith:
     left: "ScalarExpr"
     right: "ScalarExpr"
     _hash: int = field(init=False, repr=False, compare=False)
+    _facts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in ARITH_OPS:
             raise InvalidExpression(f"unknown arithmetic op: {self.op!r}")
-        for side in (self.left, self.right):
-            if isinstance(side, Cmp):
-                raise InvalidExpression("comparison nested inside arithmetic")
-            if not isinstance(side, (Const, Param, Capture, Arith)):
-                raise InvalidExpression(f"bad operand: {side!r}")
+        _record(self, "arithmetic")
         # the emitter keys its tables by tree, so hash in O(1), not O(size)
         object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Arith:
+            return NotImplemented
+        return _equal(self, other)
 
     def __reduce__(self):
         # str hashes differ between processes: rebuild, never copy _hash
@@ -118,15 +163,21 @@ class Cmp:
     op: str
     left: "ScalarExpr"
     right: "ScalarExpr"
+    _facts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in CMP_OPS:
             raise InvalidExpression(f"unknown comparison op: {self.op!r}")
-        for side in (self.left, self.right):
-            if isinstance(side, Cmp):
-                raise InvalidExpression("comparison nested inside comparison")
-            if not isinstance(side, (Const, Param, Capture, Arith)):
-                raise InvalidExpression(f"bad operand: {side!r}")
+        _record(self, "comparison")
+
+    def __eq__(self, other):
+        if other.__class__ is not Cmp:
+            return NotImplemented
+        return _equal(self, other)
+
+    def __reduce__(self):
+        # rebuilt, so the recorded fields are checked and derived again
+        return Cmp, (self.op, self.left, self.right)
 
 
 ScalarExpr = Const | Param | Capture | Arith | Cmp
@@ -172,24 +223,41 @@ def eval_scalar(expr: ScalarExpr, params: tuple = (), captures: tuple = ()):
     return left < right
 
 
+_LEAF = (-1, -1, False)
+
+
+def _facts(expr: ScalarExpr) -> tuple:
+    """(highest Param index, highest Capture slot, can raise) of a tree."""
+    kind = type(expr)
+    if kind is Arith or kind is Cmp:
+        return expr._facts
+    if kind is Param:
+        return expr.index, -1, False
+    if kind is Capture:
+        return -1, expr.slot, False
+    return _LEAF
+
+
 def max_param_index(expr: ScalarExpr) -> int:
     """Highest Param index referenced, or -1 if none."""
-    kind = type(expr)
-    if kind is Param:
-        return expr.index
-    if kind in (Arith, Cmp):
-        return max(max_param_index(expr.left), max_param_index(expr.right))
-    return -1
+    return _facts(expr)[0]
 
 
 def max_capture_slot(expr: ScalarExpr) -> int:
     """Highest Capture slot referenced, or -1 if none."""
-    kind = type(expr)
-    if kind is Capture:
-        return expr.slot
-    if kind in (Arith, Cmp):
-        return max(max_capture_slot(expr.left), max_capture_slot(expr.right))
-    return -1
+    return _facts(expr)[1]
+
+
+def may_raise(expr: ScalarExpr) -> bool:
+    """True when evaluating the tree can fail: it holds a mod whose divisor
+    is not a non-zero constant."""
+    return _facts(expr)[2]
+
+
+def mod_by_const(expr: ScalarExpr) -> bool:
+    """True for a mod node whose divisor is a non-zero constant."""
+    return (type(expr) is Arith and expr.op == "mod"
+            and type(expr.right) is Const and expr.right.value != 0)
 
 
 def format_expr(expr: ScalarExpr) -> str:

@@ -38,8 +38,9 @@ from .exprs import (
     format_expr,
     max_capture_slot,
     max_param_index,
+    may_raise,
 )
-from .lambdas import Emitter, fold, mod_by_const, truth
+from .lambdas import Emitter, fold, truth
 from .query import (
     Filter,
     FlatMap,
@@ -56,22 +57,27 @@ def substitute(expr: ScalarExpr, replacement: ScalarExpr,
 
     Evaluating the substituted tree equals evaluating `expr` with Param(0)
     bound to the value of `replacement` — the composition law the property
-    tests hold this to.
+    tests hold this to.  Each node is rewritten once per call, so a subtree
+    shared in `expr` is shared in the result.
     """
-    kind = type(expr)
-    if kind is Param:
-        return replacement if expr.index == 0 else expr
-    if kind is Capture:
-        if captures is not None and expr.slot in captures:
-            return captures[expr.slot]
-        return expr
-    if kind is Const:
-        return expr
-    left = substitute(expr.left, replacement, captures)
-    right = substitute(expr.right, replacement, captures)
-    if kind is Arith:
-        return Arith(expr.op, left, right)
-    return Cmp(expr.op, left, right)
+    done = {}  # id of a node of expr -> its rewrite
+
+    def walk(expr):
+        kind = type(expr)
+        if kind is Param:
+            return replacement if expr.index == 0 else expr
+        if kind is Capture:
+            if captures is not None and expr.slot in captures:
+                return captures[expr.slot]
+            return expr
+        if kind is Const:
+            return expr
+        new = done.get(id(expr))
+        if new is None:
+            new = done[id(expr)] = kind(expr.op, walk(expr.left), walk(expr.right))
+        return new
+
+    return walk(expr)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,17 +105,6 @@ class FusedPlan:
     outer_element: ScalarExpr | None = None
 
 
-def _may_raise(expr: ScalarExpr) -> bool:
-    """True when evaluating the tree can fail: it holds a mod whose divisor
-    is not a non-zero constant."""
-    kind = type(expr)
-    if kind in (Const, Param, Capture):
-        return False
-    if kind is Arith and expr.op == "mod" and not mod_by_const(expr):
-        return True
-    return _may_raise(expr.left) or _may_raise(expr.right)
-
-
 def _anchor(effectful: ScalarExpr, tree: ScalarExpr) -> ScalarExpr:
     """`tree`, still evaluating `effectful` first: ((effectful * 0) + tree)."""
     return Arith("add", Arith("mul", effectful, Const(0)), tree)
@@ -122,7 +117,7 @@ def _fold_map(body: ScalarExpr, cur: ScalarExpr, rebind=None) -> ScalarExpr:
     `cur` can fail, keep it anchored so the failure still happens in order.
     """
     new = substitute(body, cur, rebind)
-    if max_param_index(body) < 0 and _may_raise(cur):
+    if max_param_index(body) < 0 and may_raise(cur):
         return _anchor(cur, new)
     return new
 
@@ -134,7 +129,7 @@ def _fold_guard(pred: ScalarExpr, cur: ScalarExpr, rebind=None) -> ScalarExpr:
     so a failing map ahead of it must fire here, as it would stage by stage.
     """
     guard = substitute(pred, cur, rebind)
-    if max_param_index(pred) < 0 and _may_raise(cur):
+    if max_param_index(pred) < 0 and may_raise(cur):
         return Cmp(guard.op, _anchor(cur, guard.left), guard.right)
     return guard
 
@@ -229,23 +224,23 @@ def compile_plan(plan: FusedPlan, datasets):
     # maps folded into the outer element still fail per element, even when
     # the inner loop never evaluates them
     forced = fold(plan.outer_element) if plan.inner is not None else None
-    if forced is not None and not _may_raise(forced):
+    if forced is not None and not may_raise(forced):
         forced = None
     guards = (*outer_guards, *inner_guards)
     if False in map(truth, guards) and forced is None and not any(
-            map(_may_raise, (*guards, body))):
+            map(may_raise, (*guards, body))):
         em.line("return 0")
         return em.build("run", ("lo", "hi"))
     outer_guards, inner_guards = ([g for g in level if truth(g) is not True]
                                   for level in (outer_guards, inner_guards))
     target, rows, reads = outer_ds.fused_loop(em.bind, "x0", False)
     if plan.inner is None and not outer_guards and (
-            body == _IDENTITY and not reads if is_sum else not _may_raise(body)):
+            body == _IDENTITY and not reads if is_sum else not may_raise(body)):
         # a count is the length of [lo, hi) clipped as a slice clips it
         em.line(f"return wrap_i64(sum({rows}))" if is_sum
                 else f"return len(range({em.bind(len(outer_ds))})[lo:hi])")
         return em.build("run", ("lo", "hi"))
-    if not is_sum and not _may_raise(body):
+    if not is_sum and not may_raise(body):
         body = None
     em.expect(*outer_guards, forced, *inner_guards, body)
     em.line("acc = 0")
@@ -279,16 +274,25 @@ def _loop(em: Emitter, target: str, rows: str, reads: tuple) -> None:
         em.line(read)
 
 
-def _invariants(expr, wrap: bool = False) -> list:
+def _invariants(tree) -> list:
     """(subtree, wrap) for the largest Arith subtrees that read no x1 and
-    cannot raise; wrap when a comparison or a mod observes the subtree."""
-    kind = type(expr)
-    if kind is Arith and max_param_index(expr) < 1 and not _may_raise(expr):
-        return [(expr, wrap)]
-    if kind in (Arith, Cmp):
-        wrap = kind is Cmp or expr.op == "mod"
-        return _invariants(expr.left, wrap) + _invariants(expr.right, wrap)
-    return []
+    cannot raise, each pair once, in the order first met; wrap when a
+    comparison or a mod observes the subtree."""
+    found, seen = {}, set()
+
+    def walk(expr, wrap):
+        kind = type(expr)
+        if kind is Arith and max_param_index(expr) < 1 and not may_raise(expr):
+            found[expr, wrap] = None
+        elif (kind is Arith or kind is Cmp) and id(expr) not in seen:
+            # an operand's wrap depends on its parent alone: walk each node once
+            seen.add(id(expr))
+            wrap = kind is Cmp or expr.op == "mod"
+            walk(expr.left, wrap)
+            walk(expr.right, wrap)
+
+    walk(tree, False)
+    return list(found)
 
 
 def exec_fused(plan: FusedPlan, datasets, counters: CounterSet | None = None,

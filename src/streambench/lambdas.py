@@ -45,6 +45,7 @@ from .exprs import (
     I64_MIN,
     max_capture_slot,
     max_param_index,
+    mod_by_const,
     mod_i64,
     wrap_i64,
 )
@@ -128,19 +129,32 @@ def fold(expr: ScalarExpr) -> ScalarExpr:
     fold to Consts becomes the Const of its wrapped value, unless it is a mod
     by zero, which must raise when it runs.  A Cmp keeps its sides, folded;
     `truth` reads a Cmp of two Consts.  A tree with nothing to fold is
-    returned as it is."""
-    kind = type(expr)
-    if kind is not Arith and kind is not Cmp:
-        return expr
-    left, right = fold(expr.left), fold(expr.right)
-    if kind is Arith and type(left) is Const and type(right) is Const:
+    returned as it is.  Each node folds once per call, so a subtree shared
+    in `expr` is shared in the result."""
+    done = {}  # id of a node of expr -> its fold
+
+    def walk(expr):
+        kind = type(expr)
+        if kind is not Arith and kind is not Cmp:
+            return expr
+        new = done.get(id(expr))
+        if new is None:
+            new = done[id(expr)] = _fold_node(expr, walk(expr.left), walk(expr.right))
+        return new
+
+    return walk(expr)
+
+
+def _fold_node(expr: ScalarExpr, left: ScalarExpr, right: ScalarExpr) -> ScalarExpr:
+    """An Arith or Cmp node over its folded operands."""
+    if type(expr) is Arith and type(left) is Const and type(right) is Const:
         if expr.op != "mod":
             return Const(wrap_i64(_FOLD_OP[expr.op](left.value, right.value)))
         if right.value:
             return Const(mod_i64(left.value, right.value))
     if left is expr.left and right is expr.right:
         return expr
-    return kind(expr.op, left, right)
+    return type(expr)(expr.op, left, right)
 
 
 def truth(expr: ScalarExpr):
@@ -325,12 +339,6 @@ class Emitter:
 def _operand(text: str) -> str:
     """An operand's text, parenthesized unless it is a name."""
     return text if text.isidentifier() else f"({text})"
-
-
-def mod_by_const(expr: ScalarExpr) -> bool:
-    """True for a mod node whose divisor is a non-zero constant."""
-    return (type(expr) is Arith and expr.op == "mod"
-            and type(expr.right) is Const and expr.right.value != 0)
 
 
 def _slot(names: tuple, index: int, what: str) -> str:

@@ -5,7 +5,11 @@ upstream's pair and its lambda, so an element crossing a stage reads no
 attribute.  The terminal drives the last cursor, which delegates upstream, so
 moving one element through k stages costs a cascade of boundary crossings: a
 stage that emits k elements receives k+1 advances plus k gets, i.e. 2k+1
-crossings, the number this strategy exists to make visible.
+crossings, the number this strategy exists to make visible.  A map's
+advance would only delegate, so the map hands out its upstream's advance
+as its own, one Python frame fewer per element, as a mature runtime
+inlines a MoveNext that only delegates; it is still the map's crossing,
+since the counts below are laws, not calls.
 
 Those counts are laws of element flow, so pull keeps them off the
 per-element path.  It counts only where the flow starts or changes: a source
@@ -29,9 +33,14 @@ chain: each is live exactly when what it reads from is, so a get before
 advance raises where the element would have come from.
 
 A flat-map builds its inner chain once, with the function that builds the
-top-level chain.  For each outer element it resets the inner source and
-rebinds the inner lambdas through the chain's rebind function
-(CallSiteCache.rebinder), which records the capture events.
+top-level chain.  For each outer element it rebinds the inner lambdas
+through the chain's rebind function (CallSiteCache.rebinder), which records
+the capture events, then advances the inner chain.  The inner source starts
+over by itself on its failed advance, and every drain of the inner chain
+ends there: a map passes the failure through, and a filter loops until it
+gets a pass or a failure.  So the 2k+1 law holds per drain, and a top-level
+source stays exhausted.  The inner source reads its rows boxed once per
+chain (the row-read protocol's reader(at, inner)).
 
 Opening a chain does no element work: nothing advances, no lambda applies,
 until the terminal starts pulling.
@@ -78,50 +87,47 @@ class Cursor(NamedTuple):
     inner: tuple = ()  # a flat-map's inner cursors, source first
 
 
-def _source(dataset):
-    """(cursor, reset) over a dataset; reset() starts it over.  The source
-    has emitted every element its index moved past, `before` the last reset
-    and since.  Its get is the dataset's read (query.py) of the row at
-    `at[0]`, the source's current position."""
+def _source(dataset, inner=False):
+    """A cursor over a dataset.  Its get is the dataset's read (query.py) of
+    the row at `at[0]`, the source's current position.  An inner source
+    starts over on its own failed advance, so a flat-map's next outer
+    element finds it at the first row; it has emitted every element its
+    index moved past, `before` the last failed advance and since.  A
+    top-level source stays exhausted."""
     hi = len(dataset)
     at = [_NOTHING]
     i = before = failed = 0
 
     def advance():
-        nonlocal i, failed
+        nonlocal i, before, failed
         if i < hi:
             at[0] = i
             i += 1
             return True
         at[0] = _NOTHING
         failed += 1
+        if inner:
+            before += i
+            i = 0
         return False
-
-    def reset():
-        nonlocal before, i
-        before += i
-        i = 0
 
     def emitted():
         return before + i
 
-    return Cursor(advance, dataset.reader(at), emitted,
-                  lambda: emitted() + failed), reset
+    return Cursor(advance, dataset.reader(at, inner), emitted,
+                  lambda: emitted() + failed)
 
 
 def _map(up):
-    """A cursor whose get applies `fn`.  The map keeps no state: it
-    advances and emits as its upstream does."""
-    up_advance, up_get = up.advance, up.get
+    """A cursor whose get applies `fn`.  The map keeps no state: its advance
+    is its upstream's, and it emits as its upstream does."""
+    up_get = up.get
     fn = None
-
-    def advance():
-        return up_advance()
 
     def get():
         return fn(up_get())
 
-    return Cursor(advance, get, up.emitted, up.advances)
+    return Cursor(up.advance, get, up.emitted, up.advances)
 
 
 def _filter(up):
@@ -155,12 +161,13 @@ def _flat_map(up, inner_ds, stages, datasets, cache):
     """A cursor that drains one inner chain per outer element.
 
     The inner chain is built here, once, with its lambdas unbound; each
-    outer element resets its source and rebinds them (module docstring).
-    The flat-map emits what the inner chain's last cursor emits.
+    outer element rebinds them (module docstring).  The inner chain fails
+    only once its source has failed and started over, so the first inner
+    advance after a rebind reads the first row.  The flat-map emits what
+    the inner chain's last cursor emits.
     """
     up_advance, up_get = up.advance, up.get
-    source, reset = _source(inner_ds)
-    inner, sites = _chain(source, stages, datasets, cache)
+    inner, sites = _chain(_source(inner_ds, True), stages, datasets, cache)
     rebind = cache.rebinder(sites)
     inner_advance, inner_get, inner_emitted = inner[-1][:3]
     opened = False
@@ -171,9 +178,7 @@ def _flat_map(up, inner_ds, stages, datasets, cache):
         if opened and inner_advance():
             return True
         while up_advance():
-            v = up_get()
-            reset()
-            rebind(v)
+            rebind(up_get())
             opened = True
             if inner_advance():
                 return True
@@ -255,7 +260,7 @@ def _open(query: QueryExpr, datasets, counters: CounterSet, cache, counted: bool
     counters.ensure_stages(layout.labels)
     if cache is None:
         cache = CallSiteCache(counters)
-    cursors, sites = _chain(_source(resolve_dataset(datasets, query.source))[0],
+    cursors, sites = _chain(_source(resolve_dataset(datasets, query.source)),
                             query.stages, datasets, cache)
     for lam, cell in sites:
         cell.cell_contents = cache.bind(lam)

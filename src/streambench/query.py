@@ -32,9 +32,13 @@ layout it holds.  Nothing in it calls anything per element but `accept`.
                            outer element; the ints layout boxes its rows once
                            per walker, the refs layout reads each record's
                            `r.value` on every walk
-  ds.reader(at)            pull's element read: get() -> the value of row
+  ds.reader(at, inner)     pull's element read: get() -> the value of row
                            at[0], where pull's position for "no element"
-                           raises GetBeforeAdvance when used as an index
+                           raises GetBeforeAdvance when used as an index;
+                           for an inner source, read once per outer
+                           element, the ints layout boxes its rows once per
+                           reader, the refs layout reads `r.value` on every
+                           get
   ds.fused_loop(bind, var, inner)
                            a fused loop over [lo, hi) of the rows, or over
                            all of them once per outer element for an inner
@@ -117,8 +121,8 @@ class IntsDataset:
                 accept(v)
         return walk
 
-    def reader(self, at):
-        data = self.data
+    def reader(self, at, inner: bool):
+        data = list(self.data) if inner else self.data  # boxed once per reader
         return lambda: data[at[0]]
 
     def fused_loop(self, bind, var: str, inner: bool):
@@ -163,7 +167,7 @@ class RefsDataset:
                 accept(r.value)
         return walk
 
-    def reader(self, at):
+    def reader(self, at, inner: bool):
         data = self.data
         return lambda: data[at[0]].value
 

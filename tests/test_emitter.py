@@ -5,6 +5,7 @@ emitter rearranges it, so every property here compares against eval_scalar
 or oracle_run; the source-text tests pin the shapes the optimizer promises.
 """
 
+import time
 from functools import reduce
 
 import pytest
@@ -24,12 +25,13 @@ from streambench.exprs import (
     Const,
     Param,
     eval_scalar,
+    wrap_i64,
 )
-from streambench.fuse import compile_plan, exec_fused, optimize
+from streambench.fuse import compile_plan, exec_fused, optimize, run_fused
 from streambench.lambdas import CallSiteCache, compile_binary, compile_unary, make_lambda
 from streambench.parallel import ParallelConfig, run_parallel
-from streambench.pull import open_chain
-from streambench.push import SplitCursor, build_chain, for_each_remaining
+from streambench.pull import open_chain, run_pull
+from streambench.push import SplitCursor, build_chain, for_each_remaining, run_push
 from streambench.query import (
     Filter,
     FlatMap,
@@ -391,6 +393,53 @@ class TestFolding:
         chain = reduce(lambda acc, _: Arith("add", acc, X), range(240), X)
         for x in (3, I64_MAX, I64_MIN):
             assert compile_unary(chain)(x) == eval_scalar(chain, (x,))
+
+
+def squared(tree, times):
+    """`tree` squared `times` times over: each node is both operands of the
+    next, so the tree holds times + 1 distinct nodes and 2**times paths."""
+    for _ in range(times):
+        tree = Arith("mul", tree, tree)
+    return tree
+
+
+def power(x, e):
+    return wrap_i64(pow(x, e, 1 << 64))
+
+
+class TestSharedSubtrees:
+    """Every walk before the first element is linear in a tree's distinct
+    nodes, not in its paths."""
+
+    XS = (3, -3, 2, -2, 0, 1, -1, 12345678901, I64_MAX, I64_MIN)
+
+    def test_x_squared_40_times_links_optimizes_and_compiles(self):
+        start = time.perf_counter()
+        fn = CallSiteCache().bind(make_lambda(squared(X, 40)))
+        assert [fn(x) for x in self.XS] == [power(x, 1 << 40) for x in self.XS]
+        # two equal trees built apart: the emitter's tables compare them
+        zero = CallSiteCache().bind(make_lambda(Arith("sub", squared(X, 22), squared(X, 22))))
+        assert [zero(x) for x in self.XS] == [0] * len(self.XS)
+        # a filter on the same power again, composed over the map by fusion
+        q = build_query("src", [Map(make_lambda(squared(X, 40))),
+                                Filter(make_lambda(Cmp("lt", squared(X, 40), Const(5))))],
+                        Terminal.SUM)
+        ys = [power(x, 1 << 40) for x in self.XS]
+        want = wrap_i64(sum(y for y in ys if power(y, 1 << 40) < 5))
+        ds = {"src": ints_dataset(self.XS)}
+        assert compile_plan(optimize(q), ds)(0, len(self.XS)) == want
+        # an inner tree whose invariant x0 * 2 sits under 2**40 paths
+        inner = squared(Arith("add", X, Arith("mul", C, Const(2))), 40)
+        fm = build_query("src", [FlatMap("inner", (Map(make_lambda(inner, captures=1)),))],
+                         Terminal.SUM)
+        ds["inner"] = ints_dataset([5, -7])
+        want_fm = wrap_i64(sum(power(y + 2 * x, 1 << 40)
+                               for x in self.XS for y in (5, -7)))
+        assert compile_plan(optimize(fm), ds)(0, len(self.XS)) == want_fm
+        assert time.perf_counter() - start < 1.0
+        for run in (run_pull, run_push, run_fused):
+            assert run(q, ds) == want
+            assert run(fm, ds) == want_fm
 
 
 class TestParallelSingleLeaf:

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from streambench.exprs import (
     format_expr,
     max_capture_slot,
     max_param_index,
+    may_raise,
     mod_i64,
     wrap_i64,
 )
@@ -192,6 +194,36 @@ class TestIntrospection:
         assert max_capture_slot(Capture(1)) == 1
         assert max_capture_slot(Arith("mul", Capture(0), Capture(2))) == 2
 
+    def test_may_raise(self):
+        assert not may_raise(Param(0))
+        assert not may_raise(Arith("mod", Param(0), Const(3)))
+        assert may_raise(Arith("mod", Param(0), Const(0)))
+        assert may_raise(Arith("add", Const(1), Arith("mod", Const(1), Param(0))))
+        assert may_raise(Cmp("eq", Arith("mod", Param(0), Capture(0)), Const(0)))
+
+    def test_shared_subtrees_read_in_constant_time(self):
+        tree = Arith("mod", Param(1), Capture(2))
+        for _ in range(200):  # 2**200 paths
+            tree = Arith("add", tree, tree)
+        root = Cmp("lt", tree, Const(0))
+        assert (max_param_index(root), max_capture_slot(root), may_raise(root)) \
+            == (1, 2, True)
+
+    def test_equal_trees_built_apart_compare_in_linear_time(self):
+        def tower(leaf):
+            tree = Arith("mod", Param(1), leaf)
+            for _ in range(24):  # 2**24 paths
+                tree = Arith("add", tree, tree)
+            return tree
+
+        start = time.perf_counter()
+        assert tower(Capture(2)) == tower(Capture(2))
+        assert tower(Capture(2)) != tower(Capture(3))
+        assert Cmp("lt", tower(Const(1)), Const(0)) == Cmp("lt", tower(Const(1)), Const(0))
+        assert Cmp("lt", tower(Const(1)), Const(0)) != Cmp("eq", tower(Const(1)), Const(0))
+        assert Arith("add", tower(Const(1)), Const(0)) != Cmp("eq", tower(Const(1)), Const(0))
+        assert time.perf_counter() - start < 0.5
+
 
 class TestFormat:
     def test_leaves_bare(self):
@@ -222,6 +254,14 @@ print(got == fresh, hash(got) == hash(fresh), hash("add"))
 
 
 class TestPickle:
+    def test_recorded_fields_are_rebuilt(self):
+        shared = Arith("mod", Param(0), Capture(1))
+        for tree in (Arith("mul", shared, shared), Cmp("lt", shared, shared)):
+            got = pickle.loads(pickle.dumps(tree))
+            assert got == tree and got.left is got.right
+            assert (max_param_index(got), max_capture_slot(got), may_raise(got)) \
+                == (0, 1, True)
+
     def test_arith_rehashes_in_a_process_with_another_hash_seed(self):
         tree = Arith("add", Arith("mul", Param(0), Const(3)), Capture(0))
         seed = os.environ.get("PYTHONHASHSEED", "random")

@@ -46,7 +46,7 @@ class BoxedDataset:
                 accept(v)
         return walk
 
-    def reader(self, at):
+    def reader(self, at, inner):
         data = self.data
         return lambda: data[at[0]]
 

@@ -81,6 +81,24 @@ class TestCursorProtocol:
         assert counters.link_events == 2
         assert counters.instantiations == 2
 
+    @pytest.mark.parametrize("stages", [[], [Map(make_lambda(SQUARE))],
+                                        [Filter(make_lambda(EVEN))],
+                                        [FlatMap("inner", ())]])
+    def test_drained_chain_does_not_restart(self, stages):
+        counters = CounterSet()
+        ds = {"src": ints_dataset([2, 4]), "inner": ints_dataset([5])}
+        chain = open_chain(query_of(stages), ds, counters)
+        seen = []
+        while chain.advance():
+            seen.append(chain.get())
+        assert [chain.advance() for _ in range(3)] == [False] * 3
+        with pytest.raises(GetBeforeAdvance):
+            chain.get()
+        assert len(seen) == 2
+        # the source emitted its two rows once and failed four times; with
+        # no stage, the driver's last get lands on it too
+        assert counters.stages[0].control_dispatches == 2 * 2 + 4 + (not stages)
+
     def test_refs_source_dereferences(self):
         chain = open_chain(query_of([]), {"src": refs_dataset([5, 6])}, CounterSet())
         chain.advance()
@@ -180,6 +198,27 @@ class TestFlatMap:
         # 2k + one extra crossing per rebuild
         assert by_label["0.inner:source"].control_dispatches == 2 * 6 + 3
         assert by_label["0.inner.0:map"].lambda_applies == 6
+
+    def test_inner_rows_are_boxed_once_per_chain(self):
+        q = build_query("outer", [FlatMap("inner", ())], Terminal.SUM)
+        ds = {"outer": ints_dataset([1, 2]), "inner": ints_dataset([1000, 2000, 3000])}
+        chain = open_chain(q, ds, CounterSet())
+        rows = []
+        while chain.advance():
+            rows.append(chain.get())
+        assert rows == [1000, 2000, 3000] * 2
+        # the second outer element reads the very objects the first one did
+        assert all(a is b for a, b in zip(rows[:3], rows[3:]))
+
+    def test_refs_inner_rows_are_read_on_every_get(self):
+        q = build_query("outer", [FlatMap("inner", ())], Terminal.SUM)
+        inner = refs_dataset([10, 20])
+        chain = open_chain(q, {"outer": ints_dataset([1, 2]), "inner": inner},
+                           CounterSet())
+        assert [chain.advance() and chain.get() for _ in range(2)] == [10, 20]
+        inner.data[0].value = 99
+        assert [chain.advance() and chain.get() for _ in range(2)] == [99, 20]
+        assert chain.advance() is False
 
     def test_empty_inner(self):
         q, ds = self.make_cart([1, 2, 3], [])

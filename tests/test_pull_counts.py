@@ -168,6 +168,33 @@ class TestFlowLaw:
                     assert stage_counts(counters) == law
 
 
+INNER_CHAINS = ((), (Map(make_lambda(SCALED, captures=1)),),
+                (Filter(make_lambda(BELOW_CAPTURE, captures=1)),
+                 Map(make_lambda(SCALED, captures=1))))
+
+
+class TestInnerSource:
+    """An inner source starts over on its own failed advance: every outer
+    element drains it from its first row, whatever its width."""
+
+    @pytest.mark.parametrize("width", [0, 1, 3])
+    @pytest.mark.parametrize("stages", INNER_CHAINS)
+    def test_counts_equal_the_walk(self, width, stages):
+        q = build_query("outer", [FlatMap("inner", stages)], Terminal.SUM)
+        for inner in (ints_dataset, refs_dataset):
+            ds = {"outer": ints_dataset([3, 1, 2, 5]), "inner": inner(range(width))}
+            want, law = pull_law(q, ds)
+            for run in (run_pull, drained, stepped):
+                counters = CounterSet()
+                assert run(q, ds, counters) == want
+                assert stage_counts(counters) == law
+            chain = open_chain(q, ds, CounterSet())
+            while chain.advance():
+                chain.get()
+            with pytest.raises(GetBeforeAdvance):
+                chain.get()
+
+
 def chain_of(stages, data, counters, inner=None):
     ds = {"src": ints_dataset(data)}
     if inner is not None:
