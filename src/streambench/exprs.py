@@ -27,7 +27,7 @@ _BIAS = 1 << 63
 ARITH_OPS = ("add", "sub", "mul", "mod")
 CMP_OPS = ("eq", "lt")
 
-_OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "mod": "%", "eq": "==", "lt": "<"}
+OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "mod": "%", "eq": "==", "lt": "<"}
 
 
 def wrap_i64(x: int) -> int:
@@ -57,6 +57,8 @@ class Const:
     value: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.value, int):
+            raise InvalidExpression(f"constant is not an int: {self.value!r}")
         if not (I64_MIN <= self.value <= I64_MAX):
             raise InvalidExpression(f"constant out of 64-bit range: {self.value}")
 
@@ -93,9 +95,7 @@ def _record(node, inside: str) -> None:
     for side in (left, right):
         if isinstance(side, Cmp):
             raise InvalidExpression(f"comparison nested inside {inside}")
-        if not isinstance(side, (Const, Param, Capture, Arith)):
-            raise InvalidExpression(f"bad operand: {side!r}")
-    lp, lc, lr = _facts(left)
+    lp, lc, lr = _facts(left)  # raises for an operand that is no node
     rp, rc, rr = _facts(right)
     object.__setattr__(node, "_facts", (
         lp if lp > rp else rp, lc if lc > rc else rc,
@@ -235,7 +235,9 @@ def _facts(expr: ScalarExpr) -> tuple:
         return expr.index, -1, False
     if kind is Capture:
         return -1, expr.slot, False
-    return _LEAF
+    if kind is Const:
+        return _LEAF
+    raise InvalidExpression(f"not an expression node: {type(expr).__name__}")
 
 
 def max_param_index(expr: ScalarExpr) -> int:
@@ -273,5 +275,5 @@ def format_expr(expr: ScalarExpr) -> str:
         return f"x{expr.index}"
     if kind is Capture:
         return f"c{expr.slot}"
-    sym = _OP_SYMBOL[expr.op]
+    sym = OP_SYMBOL[expr.op]
     return f"({format_expr(expr.left)} {sym} {format_expr(expr.right)})"

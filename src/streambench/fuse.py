@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counters import CounterSet
-from .errors import InvalidPipeline
 from .exprs import (
     Arith,
     Capture,
@@ -36,13 +35,11 @@ from .exprs import (
     Param,
     ScalarExpr,
     format_expr,
-    max_capture_slot,
     max_param_index,
     may_raise,
 )
 from .lambdas import Emitter, fold, truth
 from .query import (
-    Filter,
     FlatMap,
     Map,
     QueryExpr,
@@ -137,40 +134,25 @@ def _fold_guard(pred: ScalarExpr, cur: ScalarExpr, rebind=None) -> ScalarExpr:
 def optimize(query: QueryExpr) -> FusedPlan:
     """Fuse a query into a FusedPlan.  Pure tree rewriting, no execution."""
     cur: ScalarExpr = Param(0)
-    outer_guards: list = []
-    inner_guards: list = []
-    inner_source = None
-    outer_element = None
-    depth = 0
+    guards = outer_guards = []
+    flatmap = outer_element = rebind = None
     for stage in query.stages:
-        if isinstance(stage, Map):
-            cur = _fold_map(stage.fn.body, cur)
-        elif isinstance(stage, Filter):
-            guard = _fold_guard(stage.predicate.body, cur)
-            (inner_guards if depth else outer_guards).append(guard)
-        elif isinstance(stage, FlatMap):
-            outer_element = cur
-            inner_source = stage.inner_source
-            depth = 1
-            cur = Param(1)
-            rebind = {0: outer_element}
-            for inner in stage.stages:
-                if isinstance(inner, Map):
-                    cur = _fold_map(inner.fn.body, cur, rebind)
-                else:
-                    inner_guards.append(
-                        _fold_guard(inner.predicate.body, cur, rebind))
-        else:
-            raise InvalidPipeline(f"not a pipeline stage: {stage!r}")
-    checked = (*outer_guards, *inner_guards, cur) if outer_element is None \
-        else (*outer_guards, *inner_guards, cur, outer_element)
-    for tree in checked:
-        if max_capture_slot(tree) >= 0:
-            raise InvalidPipeline("fusion left an unresolved capture slot")
-    inner = LoopLevel(inner_source, tuple(inner_guards)) if inner_source else None
-    return FusedPlan(LoopLevel(query.source, tuple(outer_guards)), inner,
-                     cur, query.terminal,
-                     outer_element if inner_source else None)
+        level = (stage,)
+        if isinstance(stage, FlatMap):
+            # inner lambdas read the outer element through Capture(0); the
+            # top-level lambdas after the flat-map capture nothing
+            flatmap, level, guards = stage, stage.stages, []
+            outer_element, cur, rebind = cur, Param(1), {0: cur}
+        for step in level:
+            if isinstance(step, Map):
+                cur = _fold_map(step.fn.body, cur, rebind)
+            else:
+                guards.append(_fold_guard(step.predicate.body, cur, rebind))
+    outer = LoopLevel(query.source, tuple(outer_guards))
+    if flatmap is None:
+        return FusedPlan(outer, None, cur, query.terminal)
+    return FusedPlan(outer, LoopLevel(flatmap.inner_source, tuple(guards)),
+                     cur, query.terminal, outer_element)
 
 
 def render_plan(plan: FusedPlan) -> str:

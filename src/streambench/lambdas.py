@@ -27,7 +27,6 @@ eval_scalar bit for bit; the test suite holds them to that.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import reduce
 from types import MethodType
@@ -35,6 +34,8 @@ from types import MethodType
 from .counters import CounterSet
 from .errors import ArityMismatch, InvalidExpression
 from .exprs import (
+    ARITH_OPS,
+    CMP_OPS,
     Arith,
     Capture,
     Cmp,
@@ -43,6 +44,8 @@ from .exprs import (
     ScalarExpr,
     I64_MAX,
     I64_MIN,
+    OP_SYMBOL,
+    eval_scalar,
     max_capture_slot,
     max_param_index,
     mod_by_const,
@@ -99,21 +102,21 @@ def is_capturing(lam: Lambda) -> bool:
 # A subtree met more than once is computed once into a temp and reused, and
 # an operand whose inline text nests NEST_LIMIT parentheses deep goes to a
 # temp too, so no chain reaches the parser's nesting limit.  The source holds
-# only names the emitter makes itself, op symbols from the tables below and
+# only names the emitter makes itself, op symbols from exprs.OP_SYMBOL and
 # indentation: every Const value, capture value and dataset is bound to a
 # name, so no text of a tree value ever reaches exec().
 #
 # Before any of that, fold() evaluates at compile time every subtree that
-# reads no parameter and no capture, with the op table below: an add, sub,
+# reads no parameter and no capture, through eval_scalar: an add, sub,
 # mul or mod of two constants becomes one Const, and a comparison of two
 # constants is emitted as a bound bool.  A mod by a constant zero never
 # folds, so it still raises DivisionByZero per element, in order.
 
-_ARITH_SYMBOL = {"add": "+", "sub": "-", "mul": "*"}
-_CMP_SYMBOL = {"eq": "==", "lt": "<"}
-_FOLD_OP = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-            "eq": operator.eq, "lt": operator.lt}
 _ZERO = Const(0)
+# each op over (x0, x1): fold evaluates a node of two constants as the
+# reference interpreter does, without building a tree per fold
+_OP_TREE = {op: (Arith if op in ARITH_OPS else Cmp)(op, Param(0), Param(1))
+            for op in ARITH_OPS + CMP_OPS}
 _HELPERS = {"MIN": I64_MIN, "MAX": I64_MAX, "wrap_i64": wrap_i64,
             "mod_i64": mod_i64}
 # widest unwrapped value, in bits, an add/sub/mul may build before its
@@ -147,11 +150,9 @@ def fold(expr: ScalarExpr) -> ScalarExpr:
 
 def _fold_node(expr: ScalarExpr, left: ScalarExpr, right: ScalarExpr) -> ScalarExpr:
     """An Arith or Cmp node over its folded operands."""
-    if type(expr) is Arith and type(left) is Const and type(right) is Const:
-        if expr.op != "mod":
-            return Const(wrap_i64(_FOLD_OP[expr.op](left.value, right.value)))
-        if right.value:
-            return Const(mod_i64(left.value, right.value))
+    if (type(expr) is Arith and type(left) is Const and type(right) is Const
+            and (expr.op != "mod" or right.value)):
+        return Const(eval_scalar(_OP_TREE[expr.op], (left.value, right.value)))
     if left is expr.left and right is expr.right:
         return expr
     return type(expr)(expr.op, left, right)
@@ -160,7 +161,7 @@ def _fold_node(expr: ScalarExpr, left: ScalarExpr, right: ScalarExpr) -> ScalarE
 def truth(expr: ScalarExpr):
     """The value of a comparison of two constants; None for any other tree."""
     if type(expr) is Cmp and type(expr.left) is Const and type(expr.right) is Const:
-        return _FOLD_OP[expr.op](expr.left.value, expr.right.value)
+        return eval_scalar(_OP_TREE[expr.op], (expr.left.value, expr.right.value))
     return None
 
 
@@ -241,7 +242,7 @@ class Emitter:
                 return self.bind(known)
             if expr.op == "eq" and _ZERO in (expr.left, expr.right):
                 return f"{self._zero_side(expr.left)} == {self._zero_side(expr.right)}"
-            sym = _symbol(_CMP_SYMBOL, expr.op)
+            sym = OP_SYMBOL[expr.op]
             return f"{self.value(expr.left)} {sym} {self.value(expr.right)}"
         text, bits, _ = self._arith(expr)
         return self._wrapped(expr, text, bits) if wrap else text
@@ -279,7 +280,7 @@ class Emitter:
             else:
                 text = f"mod_i64({left}, {self.value(expr.right)})"
             return *self._temp(expr, text, 64), 0
-        sym = _symbol(_ARITH_SYMBOL, expr.op)
+        sym = OP_SYMBOL[expr.op]
         (left, lbits, lnest), (right, rbits, rnest) = \
             self._arith(expr.left), self._arith(expr.right)
         bits = lbits + rbits if sym == "*" else max(lbits, rbits) + 1
@@ -345,13 +346,6 @@ def _slot(names: tuple, index: int, what: str) -> str:
     if not 0 <= index < len(names):
         raise InvalidExpression(f"unbound {what} {index}")
     return names[index]
-
-
-def _symbol(table: dict, op: str) -> str:
-    try:
-        return table[op]
-    except KeyError:
-        raise InvalidExpression(f"unknown op: {op!r}") from None
 
 
 def instance(fn, captures: tuple):

@@ -33,7 +33,7 @@ A worker stops at its first error, which with contiguous shares is its
 lowest failing leaf, so the first failed worker's error is the one the
 sequential run raises first.
 
-Only Sum and Count terminals run here: they are the folds whose partial
+The language's two terminals, Sum and Count, are folds whose partial
 results merge without ordering concerns.  FlatMap splits only the outer
 source; inner iteration stays inside whichever worker owns the outer element,
 so capture accounting is conserved exactly.
@@ -228,8 +228,6 @@ def run_parallel(target, datasets, config: ParallelConfig | None = None,
         run_share = _push_share
     else:
         raise InvalidPipeline(f"cannot run {target!r} in parallel")
-    if terminal not in (Terminal.SUM, Terminal.COUNT):
-        raise InvalidPipeline(f"terminal {terminal!r} is not parallelizable")
 
     source_ds = resolve_dataset(datasets, reads[0])
     # one generated function serves every leaf and every worker

@@ -3,7 +3,9 @@
 A QueryExpr is pure data: a named source, an ordered list of stages and a
 terminal fold.  The same QueryExpr runs unchanged on every execution strategy,
 which is the whole point — the strategies differ only in who drives iteration
-and how many boundary crossings that costs.
+and how many boundary crossings that costs.  A QueryExpr is checked against
+the query language when it is built, however it is built, so the engines,
+the optimizer and the oracle take every QueryExpr as valid and check none.
 
 Datasets come in two layouts.  IntsDataset is a contiguous 64-bit array,
 which boxes a value on every read.  RefsDataset holds Ref records with the
@@ -236,6 +238,9 @@ class FlatMap:
     inner_source: str
     stages: tuple
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stages", tuple(self.stages))
+
 
 Stage = Map | Filter | FlatMap
 
@@ -247,60 +252,65 @@ class Terminal(Enum):
 
 @dataclass(frozen=True, slots=True)
 class QueryExpr:
+    """A pipeline in the query language, checked when it is built.
+
+    The rules: the terminal is a Terminal; stages are Maps, Filters or
+    FlatMaps of unary Lambdas; top-level lambdas capture nothing, inner ones
+    at most Capture(0); predicates are comparison-rooted and map bodies are
+    not; a query holds at most one FlatMap, one level deep (the fused plan
+    format has exactly one optional inner loop, and every strategy accepts
+    the same query language).  A breach raises InvalidPipeline.
+    """
+
     source: str
     stages: tuple
     terminal: Terminal
 
-
-def _check_stage_lambda(lam: Lambda, where: str, is_predicate: bool,
-                        max_captures: int) -> None:
-    if lam.arity != 1:
-        raise InvalidPipeline(f"{where}: stage lambdas are unary, got arity {lam.arity}")
-    if lam.captures > max_captures:
-        raise InvalidPipeline(
-            f"{where}: at most {max_captures} capture slot(s) allowed here, "
-            f"lambda declares {lam.captures}")
-    body_is_cmp = type(lam.body) is Cmp
-    if is_predicate and not body_is_cmp:
-        raise InvalidPipeline(f"{where}: predicate body must be comparison-rooted")
-    if not is_predicate and body_is_cmp:
-        raise InvalidPipeline(f"{where}: map body must be arithmetic, not a comparison")
+    def __post_init__(self) -> None:
+        if not isinstance(self.terminal, Terminal):
+            raise InvalidPipeline(f"unknown terminal: {self.terminal!r}")
+        object.__setattr__(self, "stages", tuple(self.stages))
+        _check_stages(self.stages, "stage", 0)
 
 
-def build_query(source: str, stages, terminal: Terminal) -> QueryExpr:
-    """Validate and assemble a pipeline.
-
-    Rules enforced here: stage lambdas are unary; top-level lambdas capture
-    nothing; predicates are comparison-rooted and map bodies are not; flat-map
-    nesting is at most one level deep; and a query holds at most one FlatMap
-    (the fused plan format has exactly one optional inner loop, and every
-    strategy accepts the same query language).
-    """
-    if not isinstance(terminal, Terminal):
-        raise InvalidPipeline(f"unknown terminal: {terminal!r}")
-    stages = tuple(stages)
+def _check_stages(stages: tuple, where: str, captures: int) -> None:
+    """Check top-level stages (captures 0) or a flat-map's inner ones
+    (captures 1), in order; errors name the stage as `<where> <pos>`."""
     flatmaps = 0
     for pos, stage in enumerate(stages):
-        where = f"stage {pos}"
         if isinstance(stage, Map):
-            _check_stage_lambda(stage.fn, where, False, 0)
+            lam, is_predicate = stage.fn, False
         elif isinstance(stage, Filter):
-            _check_stage_lambda(stage.predicate, where, True, 0)
+            lam, is_predicate = stage.predicate, True
+        elif captures:
+            raise InvalidPipeline(f"{where} {pos}: flat-map nesting is limited to depth 2")
         elif isinstance(stage, FlatMap):
             flatmaps += 1
             if flatmaps > 1:
                 raise InvalidPipeline("at most one flat-map per query")
-            for ipos, inner in enumerate(stage.stages):
-                iwhere = f"{where}.inner {ipos}"
-                if isinstance(inner, Map):
-                    _check_stage_lambda(inner.fn, iwhere, False, 1)
-                elif isinstance(inner, Filter):
-                    _check_stage_lambda(inner.predicate, iwhere, True, 1)
-                else:
-                    raise InvalidPipeline(
-                        f"{iwhere}: flat-map nesting is limited to depth 2")
+            _check_stages(stage.stages, f"{where} {pos}.inner", 1)
+            continue
         else:
-            raise InvalidPipeline(f"{where}: not a pipeline stage: {stage!r}")
+            raise InvalidPipeline(f"{where} {pos}: not a pipeline stage: {stage!r}")
+        if not isinstance(lam, Lambda):
+            raise InvalidPipeline(f"{where} {pos}: not a lambda: {lam!r}")
+        if lam.arity != 1:
+            raise InvalidPipeline(
+                f"{where} {pos}: stage lambdas are unary, got arity {lam.arity}")
+        if lam.captures > captures:
+            raise InvalidPipeline(
+                f"{where} {pos}: at most {captures} capture slot(s) allowed here, "
+                f"lambda declares {lam.captures}")
+        body_is_cmp = type(lam.body) is Cmp
+        if is_predicate and not body_is_cmp:
+            raise InvalidPipeline(f"{where} {pos}: predicate body must be comparison-rooted")
+        if not is_predicate and body_is_cmp:
+            raise InvalidPipeline(
+                f"{where} {pos}: map body must be arithmetic, not a comparison")
+
+
+def build_query(source: str, stages, terminal: Terminal) -> QueryExpr:
+    """Assemble a pipeline; QueryExpr checks it against the query language."""
     return QueryExpr(source, stages, terminal)
 
 

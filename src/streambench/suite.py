@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidPipeline
 from .exprs import Arith, Capture, Cmp, Const, Param, eval_scalar, wrap_i64, I64_MAX, I64_MIN
 from .lambdas import make_lambda
 from .query import (
@@ -223,6 +222,4 @@ def oracle_run(query: QueryExpr, datasets) -> int:
         feed(v, 0, ())
     if query.terminal is Terminal.SUM:
         return wrap_i64(sum(emitted))
-    if query.terminal is Terminal.COUNT:
-        return len(emitted)
-    raise InvalidPipeline(f"unknown terminal: {query.terminal!r}")
+    return len(emitted)

@@ -102,6 +102,11 @@ class TestConstruction:
         with pytest.raises(InvalidExpression):
             Const(I64_MIN - 1)
 
+    def test_non_int_const_rejected(self):
+        for value in (1.5, "1", None):
+            with pytest.raises(InvalidExpression):
+                Const(value)
+
     def test_negative_indices_rejected(self):
         with pytest.raises(InvalidExpression):
             Param(-1)

@@ -158,11 +158,11 @@ class TestOptimizeStructure:
             assert all(max_capture_slot(t) == -1 for t in trees)
 
     def test_unresolvable_capture_rejected(self):
-        # bypass build_query's checks; the optimizer must still refuse
-        bad = QueryExpr("src", (Map(make_lambda(SCALED, captures=1)),),
-                        Terminal.SUM)
+        # a query whose plan would read an unbound capture cannot be built,
+        # not even directly, so optimize never sees one
         with pytest.raises(InvalidPipeline):
-            optimize(bad)
+            QueryExpr("src", (Map(make_lambda(SCALED, captures=1)),),
+                      Terminal.SUM)
 
 
 class TestRenderedPlans:

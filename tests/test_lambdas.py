@@ -79,6 +79,11 @@ class TestLambdaValue:
             make_lambda(Param(1), arity=1)
         make_lambda(Arith("mul", Param(1), Param(0)), arity=2)
 
+    def test_body_must_be_an_expression_node(self):
+        for body in ("foo", 3, None):
+            with pytest.raises(InvalidExpression):
+                make_lambda(body)
+
     def test_captures_validated(self):
         with pytest.raises(InvalidExpression):
             Lambda(1, -1, Param(0), 0)

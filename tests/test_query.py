@@ -13,6 +13,7 @@ from streambench.query import (
     Filter,
     FlatMap,
     Map,
+    QueryExpr,
     Ref,
     RefsDataset,
     Terminal,
@@ -144,6 +145,17 @@ class TestDatasets:
             resolve_dataset({"a": ds}, "b")
 
 
+def assert_rejected(stages, terminal=Terminal.SUM, match=None):
+    """build_query and a QueryExpr built directly both refuse the query."""
+    for build in (build_query, QueryExpr):
+        with pytest.raises(InvalidPipeline, match=match):
+            build("s", stages, terminal)
+
+
+def outer_plus():
+    return make_lambda(Arith("add", Param(0), Capture(0)), captures=1)
+
+
 class TestBuildQuery:
     def test_accepts_well_formed(self):
         q = build_query("src", [Filter(even()), Map(square())], Terminal.SUM)
@@ -156,49 +168,58 @@ class TestBuildQuery:
         q = build_query("outer", [fm], Terminal.SUM)
         assert q.stages[0].inner_source == "inner"
 
+    def test_stage_lists_are_stored_as_tuples(self):
+        q = QueryExpr("s", [FlatMap("inner", [Map(outer_plus())])], Terminal.SUM)
+        assert type(q.stages) is tuple and type(q.stages[0].stages) is tuple
+        assert hash(q) == hash(QueryExpr("s", q.stages, Terminal.SUM))
+
     def test_rejects_non_comparison_predicate(self):
-        with pytest.raises(InvalidPipeline):
-            build_query("s", [Filter(square())], Terminal.SUM)
+        assert_rejected([Filter(square())], match="stage 0: predicate body")
 
     def test_rejects_comparison_map(self):
-        with pytest.raises(InvalidPipeline):
-            build_query("s", [Map(even())], Terminal.SUM)
+        assert_rejected([Map(even())], match="stage 0: map body")
 
     def test_rejects_capturing_top_level(self):
-        with pytest.raises(InvalidPipeline):
-            build_query("s", [Map(scaled_by_outer())], Terminal.SUM)
-        with pytest.raises(InvalidPipeline):
-            pred = make_lambda(Cmp("lt", Param(0), Capture(0)), captures=1)
-            build_query("s", [Filter(pred)], Terminal.SUM)
+        assert_rejected([Map(scaled_by_outer())])
+        pred = make_lambda(Cmp("lt", Param(0), Capture(0)), captures=1)
+        assert_rejected([Filter(pred)])
+        # after a flat-map, a top-level stage still captures nothing
+        fm = FlatMap("inner", (Map(outer_plus()),))
+        assert_rejected([fm, Map(outer_plus())], match="stage 1: at most 0")
 
     def test_rejects_binary_stage_lambda(self):
         two = make_lambda(Arith("mul", Param(1), Param(0)), arity=2)
-        with pytest.raises(InvalidPipeline):
-            build_query("s", [Map(two)], Terminal.SUM)
+        assert_rejected([Map(two)], match="stage 0: stage lambdas are unary")
+
+    def test_rejects_non_lambda(self):
+        assert_rejected([Map("x")], match="stage 0: not a lambda")
+        assert_rejected([FlatMap("inner", (Filter(None),))],
+                        match="stage 0.inner 0: not a lambda")
 
     def test_rejects_nested_flatmap(self):
         inner_fm = FlatMap("deep", ())
-        with pytest.raises(InvalidPipeline):
-            build_query("s", [FlatMap("inner", (inner_fm,))], Terminal.SUM)
+        assert_rejected([FlatMap("inner", (inner_fm,))],
+                        match="stage 0.inner 0: flat-map nesting")
 
     def test_rejects_second_flatmap(self):
         fm = FlatMap("inner", ())
-        with pytest.raises(InvalidPipeline):
-            build_query("s", [fm, FlatMap("inner", ())], Terminal.SUM)
+        assert_rejected([fm, FlatMap("inner", ())])
+        fm = FlatMap("inner", (Map(outer_plus()),))
+        assert_rejected([fm, fm], match="at most one flat-map")
 
     def test_rejects_excess_inner_captures(self):
         body = Arith("add", Capture(0), Capture(1))
         lam = make_lambda(body, captures=2)
-        with pytest.raises(InvalidPipeline):
-            build_query("s", [FlatMap("inner", (Map(lam),))], Terminal.SUM)
+        assert_rejected([Map(square()), FlatMap("inner", (Filter(even()), Map(lam)))],
+                        match="stage 1.inner 1: at most 1 capture")
 
     def test_rejects_non_stage(self):
-        with pytest.raises(InvalidPipeline):
-            build_query("s", ["map"], Terminal.SUM)
+        assert_rejected(["map"], match="stage 0: not a pipeline stage")
 
     def test_rejects_unknown_terminal(self):
-        with pytest.raises(InvalidPipeline):
-            build_query("s", [], "sum")
+        assert_rejected([], "sum", match="unknown terminal")
+        # the terminal is checked before any stage
+        assert_rejected(["map"], "sum", match="unknown terminal")
 
 
 class TestLayout:
