@@ -57,7 +57,8 @@ class Const:
     value: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, int):
+        # a bool is an int, but would print as True and equal Const(1)
+        if not isinstance(self.value, int) or isinstance(self.value, bool):
             raise InvalidExpression(f"constant is not an int: {self.value!r}")
         if not (I64_MIN <= self.value <= I64_MAX):
             raise InvalidExpression(f"constant out of 64-bit range: {self.value}")

@@ -198,6 +198,8 @@ def compile_plan(plan: FusedPlan, datasets):
     over rows that are the values: that one keeps the builtin sum.
     """
     outer_ds = resolve_dataset(datasets, plan.outer.source)
+    # resolved before any fold, so a plan that folds empty still raises here
+    inner_ds = resolve_dataset(datasets, plan.inner.source) if plan.inner else None
     is_sum = plan.terminal is Terminal.SUM
     em = Emitter(("x0",))
     outer_guards = tuple(map(fold, plan.outer.guards))
@@ -235,7 +237,6 @@ def compile_plan(plan: FusedPlan, datasets):
         for tree in (*inner_guards, body):
             for invariant, wrap in _invariants(tree):
                 em.hoist(invariant, wrap)
-        inner_ds = resolve_dataset(datasets, plan.inner.source)
         em.params = ("x0", "x1")
         _loop(em, *inner_ds.fused_loop(em.bind, "x1", True))
         for guard in inner_guards:

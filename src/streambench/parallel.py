@@ -9,9 +9,11 @@ every worker.  Each worker builds its chain even when its share is empty, so
 every top-level call site links once per worker whatever the source size.
 
 On a large source the workers are processes: the caller forks W-1 children,
-runs share 0 itself, then reads each child's (partial, counters, error) from
-a pipe and reaps it; from Python 3.11 a child's error carries the child's
-traceback as a note.  A forked child reads the caller's datasets in place,
+runs share 0 itself, then reads each child's outcome from a pipe and reaps
+it.  An error raises where it happens and becomes data only to cross the
+pipe: a child sends (value, counters, error) and the caller raises the error
+again; from Python 3.11 it carries the child's traceback as a note.
+A forked child reads the caller's datasets in place,
 copy-on-write, with nothing pickled in, which is why this uses fork and not
 a fresh interpreter.  The same reason limits it to layouts whose row reads
 write no memory (`fork_safe` in query.py): reading a Ref record's value
@@ -23,15 +25,17 @@ where os.fork is missing, the workers run one after another in the calling
 process instead; values, counters and errors are the same either way.  A
 fork that fails (EAGAIN or ENOMEM under a process or memory limit), or a
 pipe that is refused (EMFILE or ENFILE under a descriptor limit), leaves
-the shares not yet forked to the caller, which runs them after share 0.
+the shares not yet forked to the caller, which runs them after it has
+reaped the children: they hold only later leaves.
 
 There is no shared mutable state until the single join point, where partial
 accumulators combine with a wrapping add and counters merge by addition.
 Wrapping addition is associative and commutative mod 2**64, which is why the
 merged result is bit-identical to the sequential one for any worker count.
 A worker stops at its first error, which with contiguous shares is its
-lowest failing leaf, so the first failed worker's error is the one the
-sequential run raises first.
+lowest failing leaf.  The caller meets the shares in order and raises the
+first error, or WorkerFailed for a child that sent no result, so the error
+raised is the one the sequential run raises first.
 
 The language's two terminals, Sum and Count, are folds whose partial
 results merge without ordering concerns.  FlatMap splits only the outer
@@ -47,6 +51,7 @@ import pickle
 import sys
 import traceback
 from dataclasses import dataclass
+from functools import partial
 
 from .counters import CounterSet
 from .errors import InvalidPipeline, WorkerFailed
@@ -104,31 +109,26 @@ def split_tasks(cursor: SplitCursor, threshold: int = DEFAULT_SPLIT_THRESHOLD):
     return leaves
 
 
-# A share runner returns its worker's outcome: (partial, counters, error),
-# stopping at the first error.
+# A share runner returns its worker's (value, counters) and raises its
+# first error.
 def _push_share(query, datasets, share):
     counters = CounterSet()
     chain, sink = build_chain(query, datasets, counters)
     for leaf in share:
-        try:
-            for_each_remaining(leaf, chain)
-        except Exception as exc:
-            return 0, counters, exc
-    return sink.result(), counters, None
+        for_each_remaining(leaf, chain)
+    return sink.result(), counters
 
 
-def _fused_share(run, datasets, share):
+def _fused_share(run, share):
     acc = 0
     for leaf in share:
-        try:
-            acc += run(leaf.lo, leaf.hi)
-        except Exception as exc:
-            return 0, CounterSet(), exc
-    return acc, CounterSet(), None
+        acc += run(leaf.lo, leaf.hi)
+    return acc, CounterSet()
 
 
-def _child(wfd, run_share, work, datasets, share):
-    """Run one share in a forked child and send its outcome; never returns.
+def _child(wfd, run, share):
+    """Run one share in a forked child and send (value, counters, error)
+    down the pipe; never returns.
 
     os._exit leaves without unwinding into the caller's stack, running
     atexit handlers or flushing stdio buffers the parent still owns.
@@ -137,11 +137,13 @@ def _child(wfd, run_share, work, datasets, share):
     try:
         # a collection would write to the header of every shared object
         gc.disable()
-        outcome = run_share(work, datasets, share)
-        exc = outcome[2]
-        if exc is not None and hasattr(exc, "add_note"):
-            # pickling drops the traceback; a note carries it to the caller
-            exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+        try:
+            outcome = (*run(share), None)
+        except Exception as exc:
+            if hasattr(exc, "add_note"):
+                # pickling drops the traceback; a note carries it to the caller
+                exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+            outcome = (0, None, exc)
         payload = pickle.dumps(outcome)
         with open(wfd, "wb") as pipe:
             pipe.write(payload)
@@ -150,9 +152,10 @@ def _child(wfd, run_share, work, datasets, share):
         os._exit(code)
 
 
-def _fork_shares(run_share, work, datasets, shares):
-    """Outcomes of every share, in share order: share 0 here, each other in
-    a forked child, or here after share 0 once a pipe or a fork has failed."""
+def _fork_shares(run, shares):
+    """(value, counters) of every share, in share order: share 0 here, each
+    other in a forked child, or here after the children once a pipe or a
+    fork has failed.  Raises the error of the lowest share that failed."""
     children = []
     left = []  # the shares no child took
     try:
@@ -167,44 +170,32 @@ def _fork_shares(run_share, work, datasets, shares):
                 left = shares[w:]
                 break
             if pid == 0:
-                _child(wfd, run_share, work, datasets, shares[w])
+                _child(wfd, run, shares[w])
             os.close(wfd)
             children.append((w, pid, open(rfd, "rb")))
-        here = _run_inline(run_share, work, datasets, [shares[0], *left])
+        outcomes = [run(shares[0])]
     finally:
         ended = []
         for w, pid, pipe in children:
             with pipe:
                 payload = pipe.read()
             ended.append((w, os.waitpid(pid, 0)[1], payload))
-    outcomes = here[:1]
     for w, status, payload in ended:
         if not payload:
             raise WorkerFailed(
                 f"parallel worker {w} exited without a result "
                 f"(wait status {status:#x})")
-        outcomes.append(pickle.loads(payload))
-    return outcomes + here[1:]
+        value, counters, error = pickle.loads(payload)
+        if error is not None:
+            raise error
+        outcomes.append((value, counters))
+    return outcomes + [run(share) for share in left]
 
 
-def _run_inline(run_share, work, datasets, shares):
-    """Outcomes of shares run one after another here, up to the first error:
-    the shares after it hold only later leaves."""
-    outcomes = []
-    for share in shares:
-        outcomes.append(run_share(work, datasets, share))
-        if outcomes[-1][2] is not None:
-            break
-    return outcomes
-
-
-def _may_fork(datasets, reads, workers: int, leaves: int) -> bool:
-    if workers < 2 or leaves < 2:
-        return False
-    read = [resolve_dataset(datasets, name) for name in reads]
-    rows = len(read[0]) * (1 + sum(len(ds) for ds in read[1:]))
-    return (rows >= FORK_MIN_ROWS and hasattr(os, "fork")
-            and len(sys._current_frames()) == 1
+def _may_fork(read, workers: int, leaves: int) -> bool:
+    return (workers > 1 and leaves > 1
+            and len(read[0]) * (1 + sum(map(len, read[1:]))) >= FORK_MIN_ROWS
+            and hasattr(os, "fork") and len(sys._current_frames()) == 1
             and all(getattr(ds, "fork_safe", False) for ds in read))
 
 
@@ -216,37 +207,31 @@ def run_parallel(target, datasets, config: ParallelConfig | None = None,
     if counters is None:
         counters = CounterSet()
     if isinstance(target, FusedPlan):
-        terminal = target.terminal
-        reads = [target.outer.source]
-        if target.inner is not None:
-            reads.append(target.inner.source)
-        run_share = _fused_share
+        reads = [level.source for level in (target.outer, target.inner)
+                 if level is not None]
     elif isinstance(target, QueryExpr):
-        terminal = target.terminal
         reads = [target.source]
         reads += [s.inner_source for s in target.stages if isinstance(s, FlatMap)]
-        run_share = _push_share
     else:
         raise InvalidPipeline(f"cannot run {target!r} in parallel")
+    read = [resolve_dataset(datasets, name) for name in reads]
 
-    source_ds = resolve_dataset(datasets, reads[0])
-    # one generated function serves every leaf and every worker
-    work = compile_plan(target, datasets) if run_share is _fused_share else target
-    leaves = split_tasks(SplitCursor(source_ds), config.split_threshold)
+    if isinstance(target, FusedPlan):
+        # one generated function serves every leaf and every worker
+        run = partial(_fused_share, compile_plan(target, datasets))
+    else:
+        run = partial(_push_share, target, datasets)
+    leaves = split_tasks(SplitCursor(read[0]), config.split_threshold)
     workers = config.resolved_workers()
     n = len(leaves)
     shares = [leaves[w * n // workers:(w + 1) * n // workers] for w in range(workers)]
 
-    if _may_fork(datasets, reads, workers, n):
-        outcomes = _fork_shares(run_share, work, datasets, shares)
+    if _may_fork(read, workers, n):
+        outcomes = _fork_shares(run, shares)
     else:
-        outcomes = _run_inline(run_share, work, datasets, shares)
-
-    for _, _, error in outcomes:
-        if error is not None:
-            raise error  # the first failed worker holds the lowest failing leaf
+        outcomes = [run(share) for share in shares]
     total = 0
-    for partial, worker_counters, _ in outcomes:
-        total += partial
+    for value, worker_counters in outcomes:
+        total += value
         counters.merge(worker_counters)
-    return wrap_i64(total) if terminal is Terminal.SUM else total
+    return wrap_i64(total) if target.terminal is Terminal.SUM else total

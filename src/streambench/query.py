@@ -254,8 +254,9 @@ class Terminal(Enum):
 class QueryExpr:
     """A pipeline in the query language, checked when it is built.
 
-    The rules: the terminal is a Terminal; stages are Maps, Filters or
-    FlatMaps of unary Lambdas; top-level lambdas capture nothing, inner ones
+    The rules: the terminal is a Terminal; the source and a FlatMap's inner
+    source are dataset names (str); stages are Maps, Filters or FlatMaps of
+    unary Lambdas; top-level lambdas capture nothing, inner ones
     at most Capture(0); predicates are comparison-rooted and map bodies are
     not; a query holds at most one FlatMap, one level deep (the fused plan
     format has exactly one optional inner loop, and every strategy accepts
@@ -269,6 +270,8 @@ class QueryExpr:
     def __post_init__(self) -> None:
         if not isinstance(self.terminal, Terminal):
             raise InvalidPipeline(f"unknown terminal: {self.terminal!r}")
+        if not isinstance(self.source, str):
+            raise InvalidPipeline(f"source is not a dataset name: {self.source!r}")
         object.__setattr__(self, "stages", tuple(self.stages))
         _check_stages(self.stages, "stage", 0)
 
@@ -288,6 +291,9 @@ def _check_stages(stages: tuple, where: str, captures: int) -> None:
             flatmaps += 1
             if flatmaps > 1:
                 raise InvalidPipeline("at most one flat-map per query")
+            if not isinstance(stage.inner_source, str):
+                raise InvalidPipeline(f"{where} {pos}: inner source is not a dataset "
+                                      f"name: {stage.inner_source!r}")
             _check_stages(stage.stages, f"{where} {pos}.inner", 1)
             continue
         else:

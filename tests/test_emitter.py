@@ -15,7 +15,7 @@ from conftest import engine_outcomes
 from test_lambdas import run_to_outcome
 from streambench import lambdas, parallel
 from streambench.counters import CounterSet
-from streambench.errors import DivisionByZero
+from streambench.errors import DivisionByZero, UnresolvedDataset
 from streambench.exprs import (
     I64_MAX,
     I64_MIN,
@@ -352,6 +352,12 @@ class TestFolding:
             ds = {"src": ints_dataset(values), "inner": inner}
             assert "for" not in compile_plan(optimize(q), ds).source
             check_slices(q, values, ints_dataset, inner)
+        # the flat-map plan, last above, is empty, yet every engine still
+        # resolves the inner source it names
+        del ds["inner"]
+        for workers in (1, 3):
+            outcomes = engine_outcomes(q, ds, workers)
+            assert set(outcomes.values()) == {("err", UnresolvedDataset)}, outcomes
 
     @pytest.mark.parametrize("terminal", list(Terminal))
     def test_guard_folding_to_false_keeps_a_loop_that_can_raise(self, terminal):

@@ -103,7 +103,7 @@ class TestConstruction:
             Const(I64_MIN - 1)
 
     def test_non_int_const_rejected(self):
-        for value in (1.5, "1", None):
+        for value in (1.5, "1", None, True, False):
             with pytest.raises(InvalidExpression):
                 Const(value)
 

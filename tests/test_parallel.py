@@ -467,3 +467,24 @@ class TestFork:
         with pytest.raises(WorkerFailed, match=r"worker 1 .*wait status 0x300"):
             run_parallel(q, ds, ParallelConfig(workers=2))
         assert len(forks) == 1
+
+    def test_earlier_share_error_wins_over_a_child_without_a_result(
+            self, forks, monkeypatch):
+        # share 0 fails in the caller while the child for share 1 dies: the
+        # sequential run raises share 0's error first
+        parent = os.getpid()
+        real = parallel.for_each_remaining
+
+        def dying(leaf, chain):
+            if os.getpid() != parent:
+                os._exit(3)
+            real(leaf, chain)
+
+        monkeypatch.setattr(parallel, "for_each_remaining", dying)
+        mod_by_x = make_lambda(Arith("mod", Const(100), Param(0)))
+        q = build_query("src", [Map(mod_by_x)], Terminal.SUM)
+        values = list(range(1, BIG + 1))
+        values[BIG // 4] = 0  # in the first of two shares
+        with pytest.raises(DivisionByZero):
+            run_parallel(q, {"src": ints_dataset(values)}, ParallelConfig(workers=2))
+        assert len(forks) == 1

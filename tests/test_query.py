@@ -145,11 +145,11 @@ class TestDatasets:
             resolve_dataset({"a": ds}, "b")
 
 
-def assert_rejected(stages, terminal=Terminal.SUM, match=None):
+def assert_rejected(stages, terminal=Terminal.SUM, match=None, source="s"):
     """build_query and a QueryExpr built directly both refuse the query."""
     for build in (build_query, QueryExpr):
         with pytest.raises(InvalidPipeline, match=match):
-            build("s", stages, terminal)
+            build(source, stages, terminal)
 
 
 def outer_plus():
@@ -215,6 +215,11 @@ class TestBuildQuery:
 
     def test_rejects_non_stage(self):
         assert_rejected(["map"], match="stage 0: not a pipeline stage")
+
+    def test_rejects_source_that_is_not_a_name(self):
+        assert_rejected([], source=["s"], match="source is not a dataset name")
+        assert_rejected([Map(square()), FlatMap(["i"], (Map(outer_plus()),))],
+                        match="stage 1: inner source is not a dataset name")
 
     def test_rejects_unknown_terminal(self):
         assert_rejected([], "sum", match="unknown terminal")
