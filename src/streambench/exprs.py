@@ -11,6 +11,12 @@ remainder (result takes the sign of the dividend, matching those runtimes) and
 raises DivisionByZero on a zero divisor.  Comparisons appear only at the root
 of predicate trees; the node constructors make nested comparisons
 unrepresentable.
+
+Arith and Cmp share one operator base, which checks a node once when it is
+built, caches its hash and what walks ask of it, compares trees and pickles
+them by rebuilding.  rewrite() is the one bottom-up rebuild of a tree: the
+optimizer's substitution and the emitter's constant folding are both
+functions over it.
 """
 
 from __future__ import annotations
@@ -86,23 +92,6 @@ class Capture:
             raise InvalidExpression(f"negative capture slot: {self.slot}")
 
 
-def _record(node, inside: str) -> None:
-    """Check an Arith or Cmp node's operands, then record on it what walks
-    ask of a tree (`_facts`): the highest Param index and Capture slot it
-    reads, and whether evaluating it can raise.  Each is O(1) from its
-    operands', as the cached hash is, so a tree that shares subtrees costs
-    its distinct nodes, never its paths."""
-    left, right = node.left, node.right
-    for side in (left, right):
-        if isinstance(side, Cmp):
-            raise InvalidExpression(f"comparison nested inside {inside}")
-    lp, lc, lr = _facts(left)  # raises for an operand that is no node
-    rp, rc, rr = _facts(right)
-    object.__setattr__(node, "_facts", (
-        lp if lp > rp else rp, lc if lc > rc else rc,
-        lr or rr or (node.op == "mod" and not mod_by_const(node))))
-
-
 def _equal(a, b) -> bool:
     """a == b for two Arith or Cmp nodes of one class.  Each pair of nodes is
     compared once, so two equal trees that share subtrees cost their
@@ -117,7 +106,7 @@ def _equal(a, b) -> bool:
         if kind is not type(y):
             return False
         if kind is Arith or kind is Cmp:
-            if x.op != y.op or (kind is Arith and x._hash != y._hash):
+            if x.op != y.op or x._hash != y._hash:
                 return False
             if (id(x), id(y)) not in done:
                 done.add((id(x), id(y)))
@@ -128,8 +117,15 @@ def _equal(a, b) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class Arith:
-    """A wrapping arithmetic node.  Operands are themselves arithmetic."""
+class _OpNode:
+    """An operator over two operand trees: the base of Arith and Cmp.
+
+    Building one checks its op against the class's `_ops` and its operands,
+    then records on it what walks ask of a tree (`_facts`): the highest
+    Param index and Capture slot it reads, and whether evaluating it can
+    raise.  Each fact, and the hash, is O(1) from its operands', so a tree
+    that shares subtrees costs its distinct nodes, never its paths.
+    """
 
     op: str
     left: "ScalarExpr"
@@ -138,50 +134,75 @@ class Arith:
     _facts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.op not in ARITH_OPS:
-            raise InvalidExpression(f"unknown arithmetic op: {self.op!r}")
-        _record(self, "arithmetic")
+        kind, ops = self._ops
+        if self.op not in ops:
+            raise InvalidExpression(f"unknown {kind} op: {self.op!r}")
+        left, right = self.left, self.right
+        for side in (left, right):
+            if isinstance(side, Cmp):
+                raise InvalidExpression(f"comparison nested inside {kind}")
+        lp, lc, lr = _facts(left)  # raises for an operand that is no node
+        rp, rc, rr = _facts(right)
+        object.__setattr__(self, "_facts", (
+            lp if lp > rp else rp, lc if lc > rc else rc,
+            lr or rr or (self.op == "mod" and not mod_by_const(self))))
         # the emitter keys its tables by tree, so hash in O(1), not O(size)
-        object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
+        object.__setattr__(self, "_hash", hash((self.op, left, right)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other):
-        if other.__class__ is not Arith:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return _equal(self, other)
 
     def __reduce__(self):
         # str hashes differ between processes: rebuild, never copy _hash
-        return Arith, (self.op, self.left, self.right)
+        return self.__class__, (self.op, self.left, self.right)
+
+    def over(self, left: "ScalarExpr", right: "ScalarExpr") -> "ScalarExpr":
+        """This node's op over `left` and `right`: itself when those are
+        its own operands, else a new node of its class."""
+        if left is self.left and right is self.right:
+            return self
+        return self.__class__(self.op, left, right)
 
 
-@dataclass(frozen=True, slots=True)
-class Cmp:
+class Arith(_OpNode):
+    """A wrapping arithmetic node.  Operands are themselves arithmetic."""
+
+    __slots__ = ()
+    _ops = ("arithmetic", ARITH_OPS)
+
+
+class Cmp(_OpNode):
     """A comparison node.  Legal only as the root of a predicate tree."""
 
-    op: str
-    left: "ScalarExpr"
-    right: "ScalarExpr"
-    _facts: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.op not in CMP_OPS:
-            raise InvalidExpression(f"unknown comparison op: {self.op!r}")
-        _record(self, "comparison")
-
-    def __eq__(self, other):
-        if other.__class__ is not Cmp:
-            return NotImplemented
-        return _equal(self, other)
-
-    def __reduce__(self):
-        # rebuilt, so the recorded fields are checked and derived again
-        return Cmp, (self.op, self.left, self.right)
+    __slots__ = ()
+    _ops = ("comparison", CMP_OPS)
 
 
 ScalarExpr = Const | Param | Capture | Arith | Cmp
+
+
+def rewrite(expr: ScalarExpr, leaf, node=_OpNode.over) -> ScalarExpr:
+    """`expr` rebuilt bottom-up: each Const, Param or Capture x becomes
+    `leaf(x)`, and each Arith or Cmp x becomes `node(x, left, right)` over
+    its rewritten operands (by default x over them).  Each node is rewritten
+    once per call, so a subtree shared in `expr` is shared in the result."""
+    done = {}  # id of a node of expr -> its rewrite
+
+    def walk(expr):
+        kind = type(expr)
+        if kind is not Arith and kind is not Cmp:
+            return leaf(expr)
+        new = done.get(id(expr))
+        if new is None:
+            new = done[id(expr)] = node(expr, walk(expr.left), walk(expr.right))
+        return new
+
+    return walk(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ substitution, so the resulting plan holds no lambda references at all.  Filters
 become guards at their loop level: a filter before any map guards on the raw
 loop variable, a filter after maps guards on the composed body expression.  A
 flat-map contributes the inner loop; its lambdas' Capture(0) references are
-rebound to the (composed) outer element during inlining.
+rebound to the (composed) outer element during inlining.  Maps and filters
+inline through one rule (_fold_map), which keeps an element that a body
+erases still evaluated when evaluating it can fail.
 
 compile_plan() lowers the plan to the source of one Python function holding
 the loop nest over resolved datasets, and exec_fused() runs it.  It touches
@@ -37,6 +39,7 @@ from .exprs import (
     format_expr,
     max_param_index,
     may_raise,
+    rewrite,
 )
 from .lambdas import Emitter, fold, truth
 from .query import (
@@ -54,27 +57,18 @@ def substitute(expr: ScalarExpr, replacement: ScalarExpr,
 
     Evaluating the substituted tree equals evaluating `expr` with Param(0)
     bound to the value of `replacement` — the composition law the property
-    tests hold this to.  Each node is rewritten once per call, so a subtree
-    shared in `expr` is shared in the result.
+    tests hold this to.  A subtree shared in `expr` is shared in the result
+    (`rewrite`).
     """
-    done = {}  # id of a node of expr -> its rewrite
-
-    def walk(expr):
+    def leaf(expr):
         kind = type(expr)
         if kind is Param:
             return replacement if expr.index == 0 else expr
-        if kind is Capture:
-            if captures is not None and expr.slot in captures:
-                return captures[expr.slot]
-            return expr
-        if kind is Const:
-            return expr
-        new = done.get(id(expr))
-        if new is None:
-            new = done[id(expr)] = kind(expr.op, walk(expr.left), walk(expr.right))
-        return new
+        if kind is Capture and captures is not None:
+            return captures.get(expr.slot, expr)
+        return expr
 
-    return walk(expr)
+    return rewrite(expr, leaf)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,33 +96,22 @@ class FusedPlan:
     outer_element: ScalarExpr | None = None
 
 
-def _anchor(effectful: ScalarExpr, tree: ScalarExpr) -> ScalarExpr:
-    """`tree`, still evaluating `effectful` first: ((effectful * 0) + tree)."""
-    return Arith("add", Arith("mul", effectful, Const(0)), tree)
-
-
 def _fold_map(body: ScalarExpr, cur: ScalarExpr, rebind=None) -> ScalarExpr:
-    """Inline a map over the running element expression.
+    """Inline a map body or a predicate over the running element expression.
 
-    A body with no Param(0) erases `cur` from everything downstream; when
-    `cur` can fail, keep it anchored so the failure still happens in order.
+    A body with no Param(0) erases `cur` from everything downstream: a map's
+    result does not read it, and a constant guard drops an element before
+    anything else looks at it.  When `cur` can fail, keep it anchored as
+    ((cur * 0) + tree), in a comparison's left side, so the failure still
+    happens in order, as it would stage by stage.
     """
     new = substitute(body, cur, rebind)
-    if max_param_index(body) < 0 and may_raise(cur):
-        return _anchor(cur, new)
-    return new
-
-
-def _fold_guard(pred: ScalarExpr, cur: ScalarExpr, rebind=None) -> ScalarExpr:
-    """Inline a predicate; anchor `cur` when the predicate never reads it.
-
-    A constant guard can drop an element before anything else looks at it,
-    so a failing map ahead of it must fire here, as it would stage by stage.
-    """
-    guard = substitute(pred, cur, rebind)
-    if max_param_index(pred) < 0 and may_raise(cur):
-        return Cmp(guard.op, _anchor(cur, guard.left), guard.right)
-    return guard
+    if max_param_index(body) >= 0 or not may_raise(cur):
+        return new
+    anchor = Arith("mul", cur, Const(0))
+    if type(new) is Cmp:
+        return Cmp(new.op, Arith("add", anchor, new.left), new.right)
+    return Arith("add", anchor, new)
 
 
 def optimize(query: QueryExpr) -> FusedPlan:
@@ -147,7 +130,7 @@ def optimize(query: QueryExpr) -> FusedPlan:
             if isinstance(step, Map):
                 cur = _fold_map(step.fn.body, cur, rebind)
             else:
-                guards.append(_fold_guard(step.predicate.body, cur, rebind))
+                guards.append(_fold_map(step.predicate.body, cur, rebind))
     outer = LoopLevel(query.source, tuple(outer_guards))
     if flatmap is None:
         return FusedPlan(outer, None, cur, query.terminal)

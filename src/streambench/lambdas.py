@@ -50,6 +50,7 @@ from .exprs import (
     max_param_index,
     mod_by_const,
     mod_i64,
+    rewrite,
     wrap_i64,
 )
 
@@ -132,20 +133,9 @@ def fold(expr: ScalarExpr) -> ScalarExpr:
     fold to Consts becomes the Const of its wrapped value, unless it is a mod
     by zero, which must raise when it runs.  A Cmp keeps its sides, folded;
     `truth` reads a Cmp of two Consts.  A tree with nothing to fold is
-    returned as it is.  Each node folds once per call, so a subtree shared
-    in `expr` is shared in the result."""
-    done = {}  # id of a node of expr -> its fold
-
-    def walk(expr):
-        kind = type(expr)
-        if kind is not Arith and kind is not Cmp:
-            return expr
-        new = done.get(id(expr))
-        if new is None:
-            new = done[id(expr)] = _fold_node(expr, walk(expr.left), walk(expr.right))
-        return new
-
-    return walk(expr)
+    returned as it is, and a subtree shared in `expr` is shared in the
+    result (`rewrite`)."""
+    return rewrite(expr, lambda leaf: leaf, _fold_node)
 
 
 def _fold_node(expr: ScalarExpr, left: ScalarExpr, right: ScalarExpr) -> ScalarExpr:
@@ -153,9 +143,7 @@ def _fold_node(expr: ScalarExpr, left: ScalarExpr, right: ScalarExpr) -> ScalarE
     if (type(expr) is Arith and type(left) is Const and type(right) is Const
             and (expr.op != "mod" or right.value)):
         return Const(eval_scalar(_OP_TREE[expr.op], (left.value, right.value)))
-    if left is expr.left and right is expr.right:
-        return expr
-    return type(expr)(expr.op, left, right)
+    return expr.over(left, right)
 
 
 def truth(expr: ScalarExpr):

@@ -59,14 +59,19 @@ DEFAULT_SPLIT_THRESHOLD = 8192
 
 
 class SplitCursor:
-    """A half-open index range [lo, hi) over one dataset, `data`."""
+    """A half-open index range [lo, hi) over one dataset, `data`.
+
+    The range is clipped to the data when the cursor is built, as a slice
+    clips it: an empty or reversed range holds no rows.
+    """
 
     __slots__ = ("data", "lo", "hi")
 
     def __init__(self, dataset, lo: int = 0, hi: int | None = None):
+        rows = range(len(dataset))[lo:hi]
         self.data = dataset
-        self.lo = lo
-        self.hi = len(dataset) if hi is None else hi
+        self.lo = rows.start
+        self.hi = rows.start + len(rows)
 
     def estimate_size(self) -> int:
         return self.hi - self.lo
@@ -99,18 +104,17 @@ def try_advance(cursor: SplitCursor, consumer) -> bool:
 def for_each_remaining(cursor: SplitCursor, consumer) -> None:
     """Push every remaining element, consuming the cursor.
 
-    A chain head is credited with the whole range at once, clipped to the
-    data as the slice is, and the dataset's loop calls the stage behind it.
+    A chain head is credited with the whole range at once, and the
+    dataset's loop calls the stage behind it.
     """
-    data = cursor.data
     lo, hi = cursor.lo, cursor.hi
     cursor.lo = hi
     if type(consumer) is _Head:
-        consumer.n += len(range(len(data))[lo:hi])
+        consumer.n += hi - lo
         accept = consumer.down
     else:
         accept = consumer.accept
-    data.push(accept, lo, hi)
+    cursor.data.push(accept, lo, hi)
 
 
 class _Cell:

@@ -1,6 +1,7 @@
 """Command-line driver: selection, output formats, check mode, exit codes."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from streambench.query import Terminal, build_query, ints_dataset
 from streambench.suite import Benchmark
 
 THREE_DECIMALS = re.compile(r"^\d+\.\d{3}$")
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def lying_benchmark(name="sum", wrong=999_999_999):
@@ -215,6 +217,14 @@ class TestShowSource:
         assert plan.endswith("acc: count(init=0)\n")
         assert source.startswith("def run(lo, hi):\n")
         assert "x0 = r.value" in source
+
+    def test_every_plan_and_source_matches_the_golden_text(self, capsys):
+        # generated code is pinned byte for byte: a rewrite of the optimizer
+        # or the emitter that changes any of it must change this file too
+        code = run_cli(["--bench", "all", "--show-plan"])
+        assert code == 0
+        golden = (GOLDEN_DIR / "show_plan_all.txt").read_text()
+        assert capsys.readouterr().out == golden
 
 
 class TestBadFlags:

@@ -247,14 +247,15 @@ class TestFormat:
         assert format_expr(nested) == "((x0 + 1) - c0)"
 
 
-# Unpickles the tree on stdin in a process of its own and prints, against a
-# tree built fresh there: equal, equal hashes, and the hash of the op string.
+# Unpickles the trees on stdin in a process of its own and prints, against
+# trees built fresh there: equal, equal hashes, and the hash of the op string.
 _UNPICKLE = """
 import pickle, sys
-from streambench.exprs import Arith, Capture, Const, Param
+from streambench.exprs import Arith, Capture, Cmp, Const, Param
 got = pickle.loads(sys.stdin.buffer.read())
-fresh = Arith("add", Arith("mul", Param(0), Const(3)), Capture(0))
-print(got == fresh, hash(got) == hash(fresh), hash("add"))
+arith = Arith("add", Arith("mul", Param(0), Const(3)), Capture(0))
+fresh = (arith, Cmp("lt", arith, Const(7)))
+print(got == fresh, list(map(hash, got)) == list(map(hash, fresh)), hash("add"))
 """
 
 
@@ -269,12 +270,13 @@ class TestPickle:
 
     def test_arith_rehashes_in_a_process_with_another_hash_seed(self):
         tree = Arith("add", Arith("mul", Param(0), Const(3)), Capture(0))
+        trees = (tree, Cmp("lt", tree, Const(7)))  # each node caches its hash
         seed = os.environ.get("PYTHONHASHSEED", "random")
         src = str(Path(sys.modules["streambench.exprs"].__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src,
                "PYTHONHASHSEED": str(int(seed) + 1) if seed.isdigit() else "0"}
         out = subprocess.run([sys.executable, "-c", _UNPICKLE], env=env,
-                             input=pickle.dumps(tree), capture_output=True,
+                             input=pickle.dumps(trees), capture_output=True,
                              check=True).stdout.split()
         assert int(out[2]) != hash("add")  # the op strings hash differently
         assert out[:2] == [b"True", b"True"]

@@ -274,12 +274,23 @@ class TestLiveCounters:
     def test_range_past_the_end_counts_what_exists(self, make):
         q = self.query()
         ds = make(range(6))
-        for lo, hi in ((0, 9), (4, 9), (7, 9), (3, 2)):
+        for lo, hi in ((0, 9), (4, 9), (7, 9), (3, 2), (-2, 9)):
             counters = CounterSet()
             head, sink = build_chain(q, {"src": ds}, counters)
             for_each_remaining(SplitCursor(ds, lo, hi), head)
             values = list(range(6))[lo:hi]
             evens = [v for v in values if v % 2 == 0]
+            assert sink.result() == sum(v * v for v in evens)
+            assert stage_counts(counters) == [
+                (0, 0), (len(values), len(values)), (len(evens), len(evens))]
+            # one element at a time: True once per row that exists
+            counters = CounterSet()
+            head, sink = build_chain(q, {"src": ds}, counters)
+            cursor = SplitCursor(ds, lo, hi)
+            advanced = 0
+            while try_advance(cursor, head):
+                advanced += 1
+            assert advanced == len(values)
             assert sink.result() == sum(v * v for v in evens)
             assert stage_counts(counters) == [
                 (0, 0), (len(values), len(values)), (len(evens), len(evens))]
