@@ -84,6 +84,18 @@ class TestSplitTasks:
         leaves = split_tasks(SplitCursor(ints_dataset(range(10))), 100)
         assert [(l.lo, l.hi) for l in leaves] == [(0, 10)]
 
+    @pytest.mark.parametrize("threshold", [0, -3])
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_threshold_below_one_splits_down_to_single_rows(self, n, threshold):
+        # a range of fewer than two rows never splits, whatever the threshold
+        leaves = split_tasks(SplitCursor(ints_dataset(range(n))), threshold)
+        assert [(l.lo, l.hi) for l in leaves] == [(i, i + 1) for i in range(n)]
+
+    def test_one_row_never_splits(self):
+        cur = SplitCursor(ints_dataset(range(4)), 2, 3)
+        assert cur.try_split(0) is None
+        assert (cur.lo, cur.hi) == (2, 3)
+
 
 class TestEquivalence:
     def test_single_worker_matches_sequential_exactly(self):

@@ -2,10 +2,14 @@
 
 import random
 
+import pytest
+
 from conftest import engine_outcomes, random_pipeline
 from streambench.counters import CounterSet
+from streambench.errors import DivisionByZero
 from streambench.exprs import Arith, Capture, Cmp, Const, Param
 from streambench.lambdas import CallSiteCache, make_lambda
+from streambench.pull import run_pull
 from streambench.push import (
     SplitCursor,
     build_chain,
@@ -22,10 +26,14 @@ from streambench.query import (
     ints_dataset,
     refs_dataset,
 )
+from streambench.suite import oracle_run
 
 SQUARE = Arith("mul", Param(0), Param(0))
 EVEN = Cmp("eq", Arith("mod", Param(0), Const(2)), Const(0))
 SCALED = Arith("mul", Param(0), Capture(0))
+# the divisor is zero when x, or the captured outer element, is 2
+MOD_ZERO_AT_2 = Arith("mod", Param(0), Arith("sub", Param(0), Const(2)))
+CAPTURE_MOD_ZERO_AT_2 = Arith("mod", Param(0), Arith("sub", Capture(0), Const(2)))
 
 
 class _Recorder:
@@ -211,6 +219,49 @@ class TestFlatMap:
         ds["inner"].data[0].value = 100  # between two outer elements
         assert try_advance(cursor, chain)
         assert sink.result() == 1 * (10 + 20) + 2 * (100 + 20)
+
+
+class TestFinishedChain:
+    """A chain whose lambda raised is finished: the first error is the one
+    pull and the oracle raise, at the same element, and every later push
+    into the chain raises StopIteration instead of folding on."""
+
+    SOURCE = [3, 2, 5, 7, 9]  # the second element makes the divisor zero
+    SHAPES = {
+        "map": lambda: [Map(make_lambda(MOD_ZERO_AT_2)), Filter(make_lambda(EVEN))],
+        "filter": lambda: [
+            Filter(make_lambda(Cmp("eq", MOD_ZERO_AT_2, Const(0)))),
+            Map(make_lambda(SQUARE))],
+        "flat-map-inner-map": lambda: [
+            FlatMap("inner", (Map(make_lambda(CAPTURE_MOD_ZERO_AT_2, captures=1)),)),
+            Map(make_lambda(SQUARE))],
+    }
+
+    def datasets(self, rows):
+        return {"src": ints_dataset(rows), "inner": ints_dataset([1, 4])}
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_later_pushes_raise_stop_iteration(self, shape):
+        q = query_of(self.SHAPES[shape]())
+        first = oracle_run(q, self.datasets(self.SOURCE[:1]))
+        for run in (oracle_run, run_pull):
+            assert run(q, self.datasets(self.SOURCE[:1])) == first
+            with pytest.raises(DivisionByZero):
+                run(q, self.datasets(self.SOURCE[:2]))
+        ds = self.datasets(self.SOURCE)
+        head, sink = build_chain(q, ds, CounterSet())
+        cursor = SplitCursor(ds["src"])
+        assert try_advance(cursor, head) is True
+        assert sink.result() == first
+        with pytest.raises(DivisionByZero):
+            try_advance(cursor, head)
+        with pytest.raises(StopIteration):
+            try_advance(cursor, head)
+        with pytest.raises(StopIteration):
+            for_each_remaining(cursor, head)
+        with pytest.raises(StopIteration):
+            head.accept(4)
+        assert sink.result() == first
 
 
 class TestAgainstOracle:

@@ -296,6 +296,33 @@ class TestLiveCounters:
                 (0, 0), (len(values), len(values)), (len(evens), len(evens))]
 
 
+    @pytest.mark.parametrize("inner_rows", [[-4, 0, 3], []])
+    def test_derived_inner_source_after_every_step(self, inner_rows):
+        # the flow into the first inner stage is len(inner) rows for each
+        # element entering the flat-map, derived when the counters are read
+        fm = FlatMap("inner", (Filter(make_lambda(BELOW_CAPTURE, captures=1)),
+                               Map(make_lambda(SCALED, captures=1))))
+        q = build_query("src", [Filter(make_lambda(EVEN)), fm], Terminal.SUM)
+        rows = list(range(-3, 6))
+        inner = ints_dataset(inner_rows)
+        counters = CounterSet()
+        head, sink = build_chain(q, {"src": ints_dataset(rows), "inner": inner}, counters)
+        cursor = SplitCursor(ints_dataset(rows))
+        for k in range(1, len(rows) + 1):
+            assert try_advance(cursor, head)
+            want, law = push_law(q, {"src": ints_dataset(rows[:k]), "inner": inner})
+            assert sink.result() == want
+            assert stage_counts(counters) == law
+            assert stage_counts(pickle.loads(pickle.dumps(counters))) == law
+            merged = CounterSet()
+            merged.merge(counters)
+            assert stage_counts(merged) == law
+        assert not try_advance(cursor, head)
+        # four even rows reach the flat-map: -2, 0, 2 and 4
+        assert counters.stages[4].label == "1.inner.0:filter"
+        assert stage_counts(counters)[4][0] == 4 * len(inner_rows)
+
+
 class TestResolvedWorkers:
     def test_counts_the_cores_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
